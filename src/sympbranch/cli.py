@@ -137,7 +137,7 @@ def _cmd_verify(args) -> int:
 def _cmd_degenerate(args) -> int:
     d, f = _parse_diagram(args.D), _parse_diagram(args.F)
     basis = monomials.enumerate_standard(d, f, args.n)
-    margin = hibi.count_patterns(d, f, args.n)
+    margin = diagrams.multiplicity(d, f, args.n)
     entries = []
     lines = [f"degenerate(D={_fmt_diagram(d)}, F={_fmt_diagram(f)}, n={args.n})"]
     for k, m in enumerate(basis, start=1):
@@ -153,8 +153,16 @@ def _cmd_degenerate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def _parse_optional(self, arg_string):
+        # "-[I1,K0]" and "-2*[I1,K0]" are negative polynomials, not options
+        if arg_string[:1] == "-" and arg_string[1:2] in "[0123456789":
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sympbranch",
         description="Exact queries on branching multiplicities, standard "
                     "monomials, straightening and toric degeneration.")

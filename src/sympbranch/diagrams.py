@@ -72,10 +72,6 @@ class WeightPair:
         return WeightPair(d, f, self.n)
 
 
-def semigroup_add(p1: WeightPair, p2: WeightPair) -> WeightPair:
-    return p1 + p2
-
-
 def multiplicity_nonzero(d, f) -> bool:
     """The two-row gap condition f_j >= d_j >= f_{j+2} (f beyond length is 0)."""
     d, f = normalize(d), normalize(f)

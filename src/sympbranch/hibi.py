@@ -11,7 +11,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from sympbranch import diagrams
 from sympbranch.diagrams import normalize, part
 from sympbranch.lattice import ColumnIndex
 from sympbranch.monomials import StandardMonomial, from_triple
@@ -67,10 +66,6 @@ class PatternMap:
         return pretty(self)
 
 
-def add(p: PatternMap, q: PatternMap) -> PatternMap:
-    return p + q
-
-
 def zero_pattern(n: int) -> PatternMap:
     return PatternMap((0,) * n, (0,) * n, (0,) * (n - 1))
 
@@ -110,30 +105,6 @@ def pattern_of_triple(d, e, f, n: int) -> PatternMap:
     return PatternMap(tuple(part(normalize(f), i) for i in range(1, n + 1)),
                       tuple(part(normalize(e), i) for i in range(1, n + 1)),
                       tuple(part(normalize(d), i) for i in range(1, n)))
-
-
-def count_patterns(d, f, n: int) -> int:
-    """Number of order-preserving patterns with top row f and bottom row d."""
-    d, f = normalize(d), normalize(f)
-    diagrams._check_pair(d, f, n)
-    top = tuple(part(f, i) for i in range(1, n + 1))
-    bot = tuple(part(d, i) for i in range(1, n))
-    bound = part(f, 1)
-    count = 0
-    mids = _weakly_decreasing_rows(bound, n)
-    for mid in mids:
-        if PatternMap(top, mid, bot).is_order_preserving():
-            count += 1
-    return count
-
-
-def _weakly_decreasing_rows(bound: int, length: int):
-    if length == 0:
-        yield ()
-        return
-    for head in range(bound, -1, -1):
-        for tail in _weakly_decreasing_rows(head, length - 1):
-            yield (head,) + tail
 
 
 def pretty(p: PatternMap) -> str:

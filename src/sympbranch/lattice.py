@@ -122,10 +122,6 @@ def column_from_set(entries, n: int) -> ColumnIndex:
     return ColumnIndex(kind, len(prefix), n)
 
 
-def column_set(c: ColumnIndex) -> tuple[int, ...]:
-    return c.column_set()
-
-
 def _check_same_rank(a: ColumnIndex, b: ColumnIndex):
     if a.n != b.n:
         raise ValueError(f"rank mismatch: {a!r} vs {b!r}")

@@ -1,23 +1,25 @@
-"""Formal polynomials on the minor generators and the straightening rewrite.
+"""Formal polynomials on the minor generators and the straightening law.
 
 A monomial is a multiset of column indices, held as a canonically sorted
-tuple.  The two-term rule replaces a factor pair I_i * K_{i-1} by
-J'_i * J_{i-1} - J_i * J'_{i-1}; iterating it terminates because each step
-strictly lowers the number of incomparable factor pairs.  The one-term rule
-(``hibi_normal_form``) keeps only the meet-join product J'_i * J_{i-1} and
-realizes the associated graded multiplication of the degeneration.
+tuple.  The only incomparable factor pairs are I_i * K_{i-1}, and the
+two-term rule sends each to J'_i * J_{i-1} - J_i * J'_{i-1}.  Those four
+factors are comparable with every element, so with m_i = min(#I_i, #K_{i-1})
+a monomial straightens in closed form to its leftover factors times
+prod_i (J'_i J_{i-1} - J_i J'_{i-1})^{m_i}.  The one-term rule
+(``hibi_normal_form``) keeps only the meet-join product J'_i * J_{i-1}: the
+associated graded multiplication of the degeneration.
 """
 
 from __future__ import annotations
 
-import random
 import re
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from types import MappingProxyType
 
 from sympbranch.lattice import ColumnIndex, parse_column
-from sympbranch.monomials import StandardMonomial, is_chain
+from sympbranch.monomials import StandardMonomial
 
 Monomial = tuple[ColumnIndex, ...]
 
@@ -30,23 +32,17 @@ def canonical_monomial(cols) -> Monomial:
     return cols
 
 
-def is_standard(mono) -> bool:
-    """Whether the factors are pairwise comparable."""
-    return is_chain(mono)
-
-
-def _incomparable_indices(mono: Monomial) -> list[int]:
-    counts = Counter((c.kind, c.idx) for c in mono)
-    return [i for i in range(1, mono[0].n if mono else 0)
-            if counts[("I", i)] and counts[("K", i - 1)]]
-
-
-def incomparable_pair_count(mono) -> int:
-    """Number of unordered incomparable factor pairs, with multiplicity."""
-    mono = canonical_monomial(mono)
-    counts = Counter((c.kind, c.idx) for c in mono)
-    n = mono[0].n if mono else 2
-    return sum(counts[("I", i)] * counts[("K", i - 1)] for i in range(1, n))
+def _split_pairs(mono) -> tuple[list[ColumnIndex], list[tuple[int, int]]]:
+    """Leftover factors and the pair counts (i, m_i = min(#I_i, #K_{i-1}))."""
+    counts, pairs = Counter(mono), []
+    for c in list(counts):
+        if c.kind == "I":
+            k = ColumnIndex("K", c.idx - 1, c.n)
+            if m := min(counts[c], counts[k]):
+                pairs.append((c.idx, m))
+                counts[c] -= m
+                counts[k] -= m
+    return list(counts.elements()), pairs
 
 
 class FormalPolynomial:
@@ -108,64 +104,41 @@ class FormalPolynomial:
         return f"FormalPolynomial({format_poly(self)})"
 
 
-def _remove_one(mono: Monomial, kind: str, idx: int) -> list[ColumnIndex]:
-    out = list(mono)
-    for pos, c in enumerate(out):
-        if c.kind == kind and c.idx == idx:
-            del out[pos]
-            return out
-    raise ValueError(f"{kind}{idx} not present")
-
-
-def straighten(p: FormalPolynomial, *, rng: random.Random | None = None
-               ) -> FormalPolynomial:
+def straighten(p: FormalPolynomial) -> FormalPolynomial:
     """Rewrite every term to a combination of standard monomials.
 
-    Defaults to always expanding the smallest incomparable index; passing an
-    ``rng`` randomizes the choice (the normal form does not depend on it).
+    A term becomes its leftover factors times, over i, the binomial expansion
+    sum_j C(m_i, j) (-1)^j (J'_i J_{i-1})^{m_i-j} (J_i J'_{i-1})^j.  Pairs at
+    different indices share no factor and no rewrite makes a new pair, so
+    this is what single rewrites reach in any order.
     """
-    out: dict[Monomial, Fraction] = {}
-    stack = list(p.terms.items())
-    while stack:
-        mono, coeff = stack.pop()
-        hits = _incomparable_indices(mono)
-        if not hits:
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-            continue
-        i = hits[0] if rng is None else rng.choice(hits)
-        n = mono[0].n
-        rest = _remove_one(tuple(_remove_one(mono, "I", i)), "K", i - 1)
-        meet_pair = [ColumnIndex("Jp", i, n), ColumnIndex("J", i - 1, n)]
-        skew_pair = [ColumnIndex("J", i, n), ColumnIndex("Jp", i - 1, n)]
-        stack.append((canonical_monomial(rest + meet_pair), coeff))
-        stack.append((canonical_monomial(rest + skew_pair), -coeff))
+    out = []
+    for mono, coeff in p.terms.items():
+        rest, pairs = _split_pairs(mono)
+        terms = [(rest, coeff)]
+        for i, m in pairs:
+            n = mono[0].n
+            meet = [ColumnIndex("Jp", i, n), ColumnIndex("J", i - 1, n)]
+            skew = [ColumnIndex("J", i, n), ColumnIndex("Jp", i - 1, n)]
+            terms = [(cols + meet * (m - j) + skew * j,
+                      c * comb(m, j) * (-1) ** j)
+                     for cols, c in terms for j in range(m + 1)]
+        out += terms
     return FormalPolynomial(out)
 
 
-def _hibi_monomial(mono: Monomial) -> Monomial:
-    if not mono:
-        return mono
-    n = mono[0].n
-    counts = Counter((c.kind, c.idx) for c in mono)
-    for i in range(1, n):
-        k = min(counts[("I", i)], counts[("K", i - 1)])
-        if k:
-            counts[("I", i)] -= k
-            counts[("K", i - 1)] -= k
-            counts[("Jp", i)] += k
-            counts[("J", i - 1)] += k
-    cols = [ColumnIndex(kind, idx, n)
-            for (kind, idx), c in counts.items() for _ in range(c)]
-    return canonical_monomial(cols)
+def _hibi_monomial(mono: Monomial) -> list[ColumnIndex]:
+    rest, pairs = _split_pairs(mono)
+    for i, m in pairs:
+        n = mono[0].n
+        rest += [ColumnIndex("Jp", i, n), ColumnIndex("J", i - 1, n)] * m
+    return rest
 
 
 def hibi_normal_form(p: FormalPolynomial) -> FormalPolynomial:
     """One-term rewrite I_i * K_{i-1} -> J'_i * J_{i-1}, coefficients kept."""
-    out: dict[Monomial, Fraction] = {}
-    for mono, coeff in p.terms.items():
-        key = _hibi_monomial(mono)
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return FormalPolynomial(out)
+    return FormalPolynomial([(_hibi_monomial(mono), coeff)
+                             for mono, coeff in p.terms.items()])
 
 
 def hibi_product(m1: StandardMonomial, m2: StandardMonomial) -> StandardMonomial:

@@ -1,11 +1,16 @@
 """Shared brute-force oracles, kept independent of the library internals."""
 
-from itertools import combinations_with_replacement
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from sympbranch.lattice import elements
+from sympbranch.diagrams import normalize, part
+from sympbranch.hibi import PatternMap
+from sympbranch.lattice import ColumnIndex, comparable, elements
 from sympbranch.monomials import StandardMonomial, is_chain
+from sympbranch.straighten import FormalPolynomial, canonical_monomial
 
 
 def padded(seq, length):
@@ -47,6 +52,57 @@ def all_diagrams(max_part, max_len):
     return [t for length in range(max_len + 1)
             for t in weakly_decreasing_tuples(max_part, length)
             if not t or t[-1] > 0]
+
+
+def count_patterns(d, f, n):
+    """Order-preserving patterns with top row f and bottom row d, found by
+    trying every weakly decreasing middle row."""
+    d, f = normalize(d), normalize(f)
+    top = tuple(part(f, i) for i in range(1, n + 1))
+    bot = tuple(part(d, i) for i in range(1, n))
+    return sum(PatternMap(top, mid, bot).is_order_preserving()
+               for mid in weakly_decreasing_tuples(part(f, 1), n))
+
+
+def incomparable_pair_count(mono):
+    """Unordered incomparable factor pairs, with multiplicity."""
+    return sum(not comparable(a, b) for a, b in combinations(mono, 2))
+
+
+def _incomparable_indices(mono):
+    counts = Counter((c.kind, c.idx) for c in mono)
+    return [i for i in range(1, mono[0].n if mono else 0)
+            if counts[("I", i)] and counts[("K", i - 1)]]
+
+
+def _remove_one(mono, kind, idx):
+    out = list(mono)
+    for pos, c in enumerate(out):
+        if c.kind == kind and c.idx == idx:
+            del out[pos]
+            return out
+    raise ValueError(f"{kind}{idx} not present")
+
+
+def rewrite_straighten(p, rng=None):
+    """Apply I_i * K_{i-1} -> J'_i * J_{i-1} - J_i * J'_{i-1} one pair at a
+    time, depth first, at the smallest index or at one drawn from rng."""
+    out = {}
+    stack = list(p.terms.items())
+    while stack:
+        mono, coeff = stack.pop()
+        hits = _incomparable_indices(mono)
+        if not hits:
+            out[mono] = out.get(mono, Fraction(0)) + coeff
+            continue
+        i = hits[0] if rng is None else rng.choice(hits)
+        n = mono[0].n
+        rest = _remove_one(_remove_one(mono, "I", i), "K", i - 1)
+        meet_pair = [ColumnIndex("Jp", i, n), ColumnIndex("J", i - 1, n)]
+        skew_pair = [ColumnIndex("J", i, n), ColumnIndex("Jp", i - 1, n)]
+        stack.append((canonical_monomial(rest + meet_pair), coeff))
+        stack.append((canonical_monomial(rest + skew_pair), -coeff))
+    return FormalPolynomial(out)
 
 
 def chains_up_to(n, max_cols):

@@ -95,6 +95,15 @@ def test_straighten_json_weights(capsys):
     ]
 
 
+def test_straighten_leading_minus(capsys):
+    for expr, coeff in (("-[I1,K0]", ""), ("-2*[I1,K0]", "2*")):
+        for argv in (("--n", "2", expr), (expr, "--n", "2"),
+                     ("--n", "2", "--", expr)):
+            code, out, _ = run(capsys, "straighten", *argv)
+            assert code == 0
+            assert out.splitlines()[0] == f"-{coeff}[J'1,J0] + {coeff}[J1,J'0]"
+
+
 def test_straighten_parse_error(capsys):
     code, _, err = run(capsys, "straighten", "[I1,K0", "--n", "2")
     assert code == 2
@@ -147,6 +156,14 @@ def test_degenerate(capsys):
               if entry["monomial"] == ["K2", "J'2", "J1"]]
     assert worked[0]["top"] == [3, 3, 2, 1]
     assert worked[0]["bot"] == [3, 2, 0]
+
+
+def test_degenerate_margin_count_at_rank_7(capsys):
+    code, out, _ = run(capsys, "degenerate", "16,16,16,16,16,16",
+                       "16,16,16,16,16,16,16", "--n", "7", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["margin_count"] == payload["count"] == 17
 
 
 def test_degenerate_text_layout(capsys):

@@ -18,7 +18,6 @@ from sympbranch.diagrams import (
     order_type_str,
     parse_order_type,
     satisfies,
-    semigroup_add,
     tensor_factors,
     tl_weight,
     transpose,
@@ -136,7 +135,7 @@ def test_satisfies_semantics():
 
 def test_semigroup_add_examples():
     p = WeightPair((3, 0), (3, 2, 1), 3)
-    assert semigroup_add(p, p) == WeightPair((6,), (6, 4, 2), 3)
+    assert p + p == WeightPair((6,), (6, 4, 2), 3)
     zero = WeightPair((), (), 3)
     assert p + zero == p
     with pytest.raises(ValueError):

@@ -2,15 +2,20 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import all_diagrams
-from sympbranch.diagrams import multiplicity, multiplicity_nonzero
+from conftest import all_diagrams, count_patterns
+from sympbranch.diagrams import (
+    multiplicity,
+    multiplicity_nonzero,
+    normalize,
+    part,
+)
 from sympbranch.hibi import (
     PatternMap,
-    add,
     chain_to_pattern,
     chi,
-    count_patterns,
     pattern_of_triple,
     pattern_to_chain,
     pretty,
@@ -113,18 +118,18 @@ def test_add():
     a = chi(column_from_set([1, 2, 4, 5], n))
     b = chi(column_from_set([1, 2, 5], n))
     c = chi(column_from_set([1, 4], n))
-    total = add(add(a, b), c)
+    total = a + b + c
     assert (total.top, total.mid, total.bot) == (
         (3, 3, 2, 1), (3, 3, 1, 0), (3, 2, 0))
-    assert add(total, zero_pattern(n)) == total
+    assert total + zero_pattern(n) == total
     rng = random.Random(0)
     cols = elements(n)
     for _ in range(20):
         p, q = chi(rng.choice(cols)), chi(rng.choice(cols))
-        assert add(p, q) == add(q, p)
-        assert add(p, q).is_order_preserving()
+        assert p + q == q + p
+        assert (p + q).is_order_preserving()
     with pytest.raises(ValueError):
-        add(zero_pattern(2), zero_pattern(3))
+        zero_pattern(2) + zero_pattern(3)
 
 
 def test_count_patterns_examples():
@@ -139,6 +144,30 @@ def test_count_patterns_matches_multiplicity():
             for f in all_diagrams(3, n):
                 assert count_patterns(d, f, n) == multiplicity(d, f, n) == \
                     len(enumerate_standard(d, f, n))
+
+
+@st.composite
+def diagram_pairs(draw):
+    n = draw(st.integers(2, 5))
+    f = normalize(sorted(draw(st.lists(st.integers(0, 6), max_size=n)),
+                         reverse=True))
+    if draw(st.booleans()):
+        d = sorted(draw(st.lists(st.integers(0, 6), max_size=n - 1)),
+                   reverse=True)
+    else:  # f_i >= d_i >= f_{i+2}: the multiplicity is positive
+        d = []
+        for i in range(1, n):
+            hi = min(part(f, i), d[-1]) if d else part(f, i)
+            d.append(draw(st.integers(part(f, i + 2), hi)))
+    return normalize(d), f, n
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(diagram_pairs())
+def test_count_patterns_oracle_matches_multiplicity(pair):
+    d, f, n = pair
+    assert count_patterns(d, f, n) == multiplicity(d, f, n) == \
+        len(enumerate_standard(d, f, n))
 
 
 def test_chi_is_an_order_isomorphism():
@@ -165,7 +194,7 @@ def test_product_homomorphism_small():
     for m1 in chains:
         for m2 in chains:
             left = chain_to_pattern(hibi_product(m1, m2))
-            assert left == add(chain_to_pattern(m1), chain_to_pattern(m2))
+            assert left == chain_to_pattern(m1) + chain_to_pattern(m2)
 
 
 def test_margin_fixing():

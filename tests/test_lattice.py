@@ -7,7 +7,6 @@ from sympbranch.lattice import (
     ColumnIndex,
     birkhoff_complement,
     column_from_set,
-    column_set,
     covering_pairs,
     elements,
     gamma_cells,
@@ -24,13 +23,13 @@ def C(kind, idx, n):
 
 
 def test_column_set_examples():
-    assert column_set(C("K", 0, 4)) == (4, 5)
-    assert column_set(C("J", 3, 4)) == (1, 2, 3, 4)
-    assert column_set(C("K", 2, 4)) == (1, 2, 4, 5)
+    assert C("K", 0, 4).column_set() == (4, 5)
+    assert C("J", 3, 4).column_set() == (1, 2, 3, 4)
+    assert C("K", 2, 4).column_set() == (1, 2, 4, 5)
     # index-zero conventions
-    assert column_set(C("J", 0, 5)) == (5,)
-    assert column_set(C("Jp", 0, 5)) == (6,)
-    assert column_set(C("K", 0, 5)) == (5, 6)
+    assert C("J", 0, 5).column_set() == (5,)
+    assert C("Jp", 0, 5).column_set() == (6,)
+    assert C("K", 0, 5).column_set() == (5, 6)
 
 
 def test_column_validation():

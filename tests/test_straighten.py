@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import incomparable_pair_count, rewrite_straighten
 from sympbranch.diagrams import multiplicity
 from sympbranch.exacteval import eval_poly, random_rational_matrix
 from sympbranch.lattice import ColumnIndex, elements
-from sympbranch.monomials import monomial_shape
+from sympbranch.monomials import is_chain, monomial_shape
 from sympbranch.straighten import (
     FormalPolynomial,
     canonical_monomial,
@@ -16,8 +20,6 @@ from sympbranch.straighten import (
     format_poly,
     hibi_normal_form,
     hibi_product,
-    incomparable_pair_count,
-    is_standard,
     lattice_weight,
     parse_poly,
     poly_from_json,
@@ -83,11 +85,22 @@ def test_squared_pair_expansion():
         assert eval_poly(st, X) == eval_poly(sq, X)
 
 
+def test_closed_form_at_high_power():
+    # the pair-at-a-time rewrite would take about 2^40 steps here
+    n, k = 2, 40
+    out = straighten(FormalPolynomial.monomial(pair(1, n) * k))
+    meet, skew = (C("Jp", 1, n), C("J", 0, n)), (C("J", 1, n), C("Jp", 0, n))
+    assert len(out.terms) == k + 1
+    assert out == FormalPolynomial([(meet * (k - j) + skew * j,
+                                     (-1) ** j * comb(k, j))
+                                    for j in range(k + 1)])
+
+
 def test_is_standard():
     n = 2
-    assert is_standard(())
-    assert not is_standard(tuple(pair(1, n)))
-    assert is_standard((C("Jp", 1, n), C("J", 0, n)))
+    assert is_chain(())
+    assert not is_chain(tuple(pair(1, n)))
+    assert is_chain((C("Jp", 1, n), C("J", 0, n)))
 
 
 def test_lattice_weight_values():
@@ -120,7 +133,7 @@ def test_rewrites_lower_the_incomparable_count():
     mono = canonical_monomial(pair(1, n) + pair(1, n) + pair(2, n))
     assert incomparable_pair_count(mono) == 5
     out = straighten(FormalPolynomial.monomial(mono))
-    assert all(incomparable_pair_count(m) == 0 and is_standard(m)
+    assert all(incomparable_pair_count(m) == 0 and is_chain(m)
                for m in out.terms)
 
 
@@ -180,9 +193,29 @@ def test_confluence_under_randomized_rewrites():
         for trial in range(25):
             p = random_polynomial(n, rng)
             reference = straighten(p)
+            assert rewrite_straighten(p) == reference
             for chooser_seed in range(3):
                 chooser = random.Random(1000 * trial + chooser_seed)
-                assert straighten(p, rng=chooser) == reference
+                assert rewrite_straighten(p, rng=chooser) == reference
+
+
+@st.composite
+def polynomials(draw):
+    n = draw(st.integers(2, 5))
+    cols = elements(n)
+    col = st.sampled_from(cols) | st.sampled_from(
+        [c for c in cols if c.kind in ("I", "K")])
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    mono = st.lists(col, max_size=9).map(tuple)
+    return FormalPolynomial(draw(st.lists(st.tuples(mono, coeff),
+                                          min_size=1, max_size=3)))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(polynomials(), st.integers(0, 2 ** 32))
+def test_closed_form_matches_rewrite_oracle(p, chooser_seed):
+    chooser = random.Random(chooser_seed)
+    assert straighten(p) == rewrite_straighten(p, rng=chooser)
 
 
 def test_straighten_soundness_random_evaluation():
@@ -205,15 +238,15 @@ def test_hibi_normal_form_examples():
 
 
 def test_hibi_product_matches_pattern_sum():
-    from sympbranch.hibi import add, chain_to_pattern
+    from sympbranch.hibi import chain_to_pattern
     from sympbranch.monomials import StandardMonomial
     n = 3
     m1 = StandardMonomial((C("I", 1, n), C("J", 0, n)), n)
     m2 = StandardMonomial((C("K", 0, n),), n)
     prod = hibi_product(m1, m2)
-    assert is_standard(prod.columns)
-    assert chain_to_pattern(prod) == add(chain_to_pattern(m1),
-                                         chain_to_pattern(m2))
+    assert is_chain(prod.columns)
+    assert chain_to_pattern(prod) == (chain_to_pattern(m1)
+                                      + chain_to_pattern(m2))
 
 
 def test_format_and_parse_round_trip():
