@@ -1,17 +1,16 @@
 """Exact combinatorics and verification for symplectic branching data."""
 
 from sympbranch import diagrams, exacteval, hibi, lattice, monomials, straighten  # noqa: F401
-from sympbranch.diagrams import WeightPair
 from sympbranch.exacteval import ExactMatrix, TorusElement
 from sympbranch.hibi import PatternMap
-from sympbranch.lattice import ColumnIndex, GammaCell
+from sympbranch.lattice import ColumnIndex
 from sympbranch.monomials import StandardMonomial, Tableau
 from sympbranch.straighten import FormalPolynomial
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ColumnIndex", "ExactMatrix", "FormalPolynomial", "GammaCell",
-    "PatternMap", "StandardMonomial", "Tableau", "TorusElement", "WeightPair",
+    "ColumnIndex", "ExactMatrix", "FormalPolynomial", "PatternMap",
+    "StandardMonomial", "Tableau", "TorusElement",
     "diagrams", "exacteval", "hibi", "lattice", "monomials", "straighten",
 ]

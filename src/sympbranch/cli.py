@@ -61,7 +61,7 @@ def _cmd_basis(args) -> int:
     lines = [f"basis(D={_fmt_diagram(d)}, F={_fmt_diagram(f)}, n={args.n}): "
              f"{len(basis)} standard monomials"]
     for k, m in enumerate(basis, start=1):
-        e = monomials.middle_diagram(m)
+        _, e, _ = monomials.monomial_triple(m.columns)
         weight = diagrams.tl_weight(d, e, f, args.n)
         word = order_type_str(monomials.chain_order_type(m))
         tab = monomials.to_tableau(m)

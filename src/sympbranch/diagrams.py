@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import product
 
 # A diagram is a weakly decreasing tuple of nonnegative ints, no trailing zeros.
@@ -49,27 +48,6 @@ def _check_pair(d: Diagram, f: Diagram, n: int):
         raise ValueError(f"diagram {d} has more than n-1 = {n - 1} rows")
     if len(f) > n:
         raise ValueError(f"diagram {f} has more than n = {n} rows")
-
-
-@dataclass(frozen=True)
-class WeightPair:
-    """A grading element (D, F) at rank n; adds componentwise."""
-
-    D: Diagram
-    F: Diagram
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "D", normalize(self.D))
-        object.__setattr__(self, "F", normalize(self.F))
-        _check_pair(self.D, self.F, self.n)
-
-    def __add__(self, other: "WeightPair") -> "WeightPair":
-        if self.n != other.n:
-            raise ValueError(f"rank mismatch: {self.n} vs {other.n}")
-        d = tuple(part(self.D, i) + part(other.D, i) for i in range(1, self.n))
-        f = tuple(part(self.F, i) + part(other.F, i) for i in range(1, self.n + 1))
-        return WeightPair(d, f, self.n)
 
 
 def multiplicity_nonzero(d, f) -> bool:

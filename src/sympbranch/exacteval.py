@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from sympbranch import diagrams
 from sympbranch.lattice import ColumnIndex, elements
-from sympbranch.monomials import StandardMonomial, enumerate_standard, sample_chain, shape_of
+from sympbranch.monomials import (StandardMonomial, enumerate_standard,
+                                  monomial_triple, sample_chain)
 from sympbranch.straighten import FormalPolynomial
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -79,14 +80,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.size}x{self.size})"
-
-    def to_json(self) -> list[list[str]]:
-        return [[f"{x.numerator}/{x.denominator}" for x in row]
-                for row in self.rows]
-
-    @classmethod
-    def from_json(cls, data) -> "ExactMatrix":
-        return cls([[Fraction(x) for x in row] for row in data])
 
 
 def det(rows) -> Fraction:
@@ -382,7 +375,7 @@ def verify_torus_weight(m: StandardMonomial, t: TorusElement,
     """Chains scale by the shape character under the two torus actions."""
     if t.n != m.n:
         raise ValueError(f"rank mismatch: {t.n} vs {m.n}")
-    f, d = shape_of(m)
+    d, _, f = monomial_triple(m.columns)
     character = _ONE
     for i, tv in enumerate(t.t, start=1):
         character *= tv ** (-diagrams.part(f, i))

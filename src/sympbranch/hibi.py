@@ -11,9 +11,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from sympbranch.diagrams import normalize, part
+from sympbranch.diagrams import normalize
 from sympbranch.lattice import ColumnIndex
-from sympbranch.monomials import StandardMonomial, from_triple
+from sympbranch.monomials import StandardMonomial, from_triple, monomial_triple
 
 
 @dataclass(frozen=True)
@@ -66,32 +66,15 @@ class PatternMap:
         return pretty(self)
 
 
-def zero_pattern(n: int) -> PatternMap:
-    return PatternMap((0,) * n, (0,) * n, (0,) * (n - 1))
-
-
 def chi(c: ColumnIndex) -> PatternMap:
     """Characteristic pattern of a lattice element: 1 on its Birkhoff cells."""
-    n = c.n
-    m1, m2, m3 = c.ones_triple()
-    return PatternMap(tuple(int(j <= m1) for j in range(1, n + 1)),
-                      tuple(int(j <= m2) for j in range(1, n + 1)),
-                      tuple(int(j <= m3) for j in range(1, n)))
+    return pattern_of_triple(*monomial_triple((c,)), c.n)
 
 
 def chain_to_pattern(m: StandardMonomial) -> PatternMap:
-    """Pointwise sum of the factor characteristic patterns."""
-    n = m.n
-    top, mid, bot = [0] * n, [0] * n, [0] * (n - 1)
-    for c in m.columns:
-        m1, m2, m3 = c.ones_triple()
-        for j in range(m1):
-            top[j] += 1
-        for j in range(m2):
-            mid[j] += 1
-        for j in range(m3):
-            bot[j] += 1
-    return PatternMap(tuple(top), tuple(mid), tuple(bot))
+    """Pointwise sum of the factor characteristic patterns.  Its rows are the
+    chain's (F, E, D): shape, middle diagram and base."""
+    return pattern_of_triple(*monomial_triple(m.columns), m.n)
 
 
 def pattern_to_chain(p: PatternMap) -> StandardMonomial:
@@ -102,9 +85,9 @@ def pattern_to_chain(p: PatternMap) -> StandardMonomial:
 
 
 def pattern_of_triple(d, e, f, n: int) -> PatternMap:
-    return PatternMap(tuple(part(normalize(f), i) for i in range(1, n + 1)),
-                      tuple(part(normalize(e), i) for i in range(1, n + 1)),
-                      tuple(part(normalize(d), i) for i in range(1, n)))
+    """The pattern with rows f, e, d, each padded with zeros to its length."""
+    return PatternMap(*((normalize(row) + (0,) * size)[:size]
+                        for row, size in ((f, n), (e, n), (d, n - 1))))
 
 
 def pretty(p: PatternMap) -> str:

@@ -16,6 +16,11 @@ joins are computed through the Birkhoff embedding: an element maps to the
 triple of its entry counts at the thresholds n+1, n, n-1, and a <= b holds
 exactly when a's triple dominates b's componentwise.  The covering chain is
 kept (``covering_pairs``) as an independent cross-check of that encoding.
+
+The chain test of ``monomials.is_chain`` rests on ``incomparable_pairs``: a
+multiset of elements is a chain exactly when it holds no I_i together with
+K_{i-1}.  ``test_incomparable_pairs_match_exhaustive_scan`` checks that list
+against a scan of all pairs.
 """
 
 from __future__ import annotations
@@ -81,16 +86,6 @@ class ColumnIndex:
     def token(self) -> str:
         return f"{_LABEL[self.kind]}{self.idx}"
 
-    def set_str(self) -> str:
-        return "[" + ",".join(str(e) for e in self.column_set()) + "]"
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "idx": self.idx, "n": self.n}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ColumnIndex":
-        return cls(data["kind"], data["idx"], data["n"])
-
     def __str__(self):
         return self.token()
 
@@ -137,7 +132,8 @@ def comparable(a: ColumnIndex, b: ColumnIndex) -> bool:
     return leq(a, b) or leq(b, a)
 
 
-def _from_ones(triple, n: int) -> ColumnIndex:
+def from_ones(triple, n: int) -> ColumnIndex:
+    """The element whose Birkhoff encoding ``ones_triple`` is the triple."""
     m1, m2, m3 = triple
     kind = _KIND_BY_FLAGS[(m2 - m3 == 1, m1 - m2 == 1)]
     return ColumnIndex(kind, m3, n)
@@ -146,13 +142,13 @@ def _from_ones(triple, n: int) -> ColumnIndex:
 def meet(a: ColumnIndex, b: ColumnIndex) -> ColumnIndex:
     _check_same_rank(a, b)
     triple = tuple(max(x, y) for x, y in zip(a.ones_triple(), b.ones_triple()))
-    return _from_ones(triple, a.n)
+    return from_ones(triple, a.n)
 
 
 def join(a: ColumnIndex, b: ColumnIndex) -> ColumnIndex:
     _check_same_rank(a, b)
     triple = tuple(min(x, y) for x, y in zip(a.ones_triple(), b.ones_triple()))
-    return _from_ones(triple, a.n)
+    return from_ones(triple, a.n)
 
 
 def elements(n: int) -> list[ColumnIndex]:
@@ -180,35 +176,3 @@ def covering_pairs(n: int) -> list[tuple[ColumnIndex, ColumnIndex]]:
             pairs.append((jp_i, mid))
             pairs.append((mid, j_below))
     return pairs
-
-
-@dataclass(frozen=True)
-class GammaCell:
-    """A cell t_pos^(level) of the three-level interlacing poset Gamma."""
-
-    level: int
-    pos: int
-
-    def __repr__(self):
-        return f"GammaCell(t_{self.pos}^({self.level}))"
-
-
-def gamma_cells(n: int) -> list[GammaCell]:
-    """The 3n-1 cells at rank n: levels n+1, n, n-1 with min(level, n) slots."""
-    return [GammaCell(level, j)
-            for level in (n + 1, n, n - 1)
-            for j in range(1, min(level, n) + 1)]
-
-
-def birkhoff_complement(c: ColumnIndex) -> frozenset[GammaCell]:
-    """Cells where the characteristic function of c equals one.
-
-    Row k holds the first m(k) cells, m(k) = #{entries of c <= k}; the
-    complement inside Gamma is an order-decreasing subset.
-    """
-    n = c.n
-    m1, m2, m3 = c.ones_triple()
-    ones = {n + 1: m1, n: m2, n - 1: m3}
-    return frozenset(GammaCell(level, j)
-                     for level, m in ones.items()
-                     for j in range(1, m + 1))

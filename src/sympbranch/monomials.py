@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from sympbranch import diagrams
 from sympbranch.diagrams import Diagram, EQ, GE, LE, normalize, part, transpose
-from sympbranch.lattice import ColumnIndex, column_from_set, comparable
+from sympbranch.lattice import ColumnIndex, from_ones
 
 
 @dataclass(frozen=True)
@@ -23,10 +23,8 @@ class StandardMonomial:
         for c in cols:
             if c.n != self.n:
                 raise ValueError(f"column {c!r} has rank {c.n}, expected {self.n}")
-        # adjacent comparability suffices: the sort key is a linear extension
-        for a, b in zip(cols, cols[1:]):
-            if not comparable(a, b):
-                raise ValueError(f"{a} and {b} are incomparable: not a chain")
+        if not is_chain(cols):
+            raise ValueError(f"{self} holds some I_i with K_(i-1): not a chain")
 
     @classmethod
     def from_tokens(cls, tokens, n: int) -> "StandardMonomial":
@@ -80,13 +78,11 @@ class Tableau:
 
 
 def is_chain(cols) -> bool:
-    """Whether the column indices are pairwise comparable."""
-    cols = list(cols)
-    for i, a in enumerate(cols):
-        for b in cols[i + 1:]:
-            if not comparable(a, b):
-                return False
-    return True
+    """Whether the column indices are pairwise comparable, that is, whether
+    no I_i occurs together with K_{i-1}: those are the only incomparable pairs."""
+    present = {(c.kind, c.idx) for c in cols}
+    return not any(kind == "I" and ("K", i - 1) in present
+                   for kind, i in present)
 
 
 def assemble_rows(cols) -> tuple[tuple[int, ...], ...]:
@@ -101,35 +97,29 @@ def to_tableau(m: StandardMonomial) -> Tableau:
     return Tableau(assemble_rows(m.columns))
 
 
-def monomial_shape(cols) -> tuple[Diagram, Diagram]:
-    """Shape (F, D) of any column multiset: F transposes the column sizes,
-    d_k counts the entries equal to k <= n-1 in the disjoint union."""
-    cols = list(cols)
-    sizes = sorted((c.size() for c in cols), reverse=True)
-    f = transpose(tuple(sizes))
-    counts = Counter()
-    for c in cols:
-        counts.update(e for e in c.column_set() if e <= c.n - 1)
-    d = tuple(counts[k] for k in range(1, max(counts, default=0) + 1))
-    return f, normalize(d)
+def monomial_triple(cols) -> tuple[Diagram, Diagram, Diagram]:
+    """(D, E, F) of any column multiset: the conjugates of its Birkhoff
+    counts at n-1, n and n+1.  F is the tableau shape, E the shape left after
+    erasing every entry n+1, and d_k counts the entries equal to k <= n-1."""
+    ones = [c.ones_triple() for c in cols]
+    if not ones:
+        return (), (), ()
+    f, e, d = (_conjugate(sorted(row)) for row in zip(*ones))
+    return d, e, f
 
 
-def shape_of(m: StandardMonomial) -> tuple[Diagram, Diagram]:
-    return monomial_shape(m.columns)
-
-
-def middle_diagram(m: StandardMonomial) -> Diagram:
-    """Row lengths after erasing every entry n+1 from the tableau."""
-    rows = assemble_rows(m.columns)
-    return normalize(tuple(sum(1 for v in row if v != m.n + 1) for row in rows))
+def _conjugate(counts) -> Diagram:
+    """The diagram whose k-th row counts the entries >= k of a sorted list."""
+    return tuple(len(counts) - bisect_left(counts, k)
+                 for k in range(1, counts[-1] + 1))
 
 
 def from_triple(d, e, f, n: int) -> StandardMonomial:
     """The unique chain whose tableau has shape f, middle diagram e and base d.
 
     Boxes of f/e are labeled n+1, boxes of e/d are labeled n, and the rest by
-    their row coordinate; the tableau columns are then read off as lattice
-    elements.  Inverse to (shape_of, middle_diagram).
+    their row coordinate, so column c has the Birkhoff encoding
+    (f'_c, e'_c, d'_c).  Inverse to ``monomial_triple`` on chains.
     """
     d, e, f = normalize(d), normalize(e), normalize(f)
     diagrams._check_pair(d, f, n)
@@ -138,15 +128,9 @@ def from_triple(d, e, f, n: int) -> StandardMonomial:
     if not (diagrams.interlaces(d, e) and diagrams.interlaces(e, f)):
         raise ValueError(f"({d}, {e}, {f}) is not doubly interlacing")
     dt, et, ft = transpose(d), transpose(e), transpose(f)
-    cols = []
-    for c in range(1, part(f, 1) + 1):
-        entries = list(range(1, part(dt, c) + 1))
-        if part(et, c) > part(dt, c):
-            entries.append(n)
-        if part(ft, c) > part(et, c):
-            entries.append(n + 1)
-        cols.append(column_from_set(entries, n))
-    return StandardMonomial(tuple(cols), n)
+    cols = tuple(from_ones((part(ft, c), part(et, c), part(dt, c)), n)
+                 for c in range(1, part(f, 1) + 1))
+    return StandardMonomial(cols, n)
 
 
 def enumerate_standard(d, f, n: int) -> list[StandardMonomial]:

@@ -89,12 +89,9 @@ class FormalPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, FormalPolynomial):
-            out: dict[Monomial, Fraction] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    key = canonical_monomial(m1 + m2)
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-            return FormalPolynomial(out)
+            return FormalPolynomial([(m1 + m2, c1 * c2)
+                                     for m1, c1 in self._terms.items()
+                                     for m2, c2 in other._terms.items()])
         return FormalPolynomial({m: c * Fraction(other)
                                  for m, c in self._terms.items()})
 
@@ -227,7 +224,11 @@ def parse_poly(text: str, n: int) -> FormalPolynomial:
         coeff = Fraction(1)
         m = _COEFF_RE.match(text, pos)
         if m:
-            coeff = Fraction(m.group(1).replace(" ", ""))
+            try:
+                coeff = Fraction(m.group(1).replace(" ", ""))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator at offset {pos} in "
+                                 f"{text!r}") from None
             pos = m.end()
         if pos >= len(text) or text[pos] != "[":
             raise ValueError(f"expected '[' at offset {pos} in {text!r}")

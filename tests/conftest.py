@@ -1,16 +1,23 @@
 """Shared brute-force oracles, kept independent of the library internals."""
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import settings
 
-from sympbranch.diagrams import normalize, part
+from sympbranch.diagrams import normalize, part, transpose
 from sympbranch.hibi import PatternMap
 from sympbranch.lattice import ColumnIndex, comparable, elements
-from sympbranch.monomials import StandardMonomial, is_chain
+from sympbranch.monomials import StandardMonomial, assemble_rows
 from sympbranch.straighten import FormalPolynomial, canonical_monomial
+
+# Property tests keep no example database and have no deadline; each test
+# sets its own max_examples.
+settings.register_profile("sympbranch", deadline=None, database=None)
+settings.load_profile("sympbranch")
 
 
 def padded(seq, length):
@@ -69,6 +76,43 @@ def incomparable_pair_count(mono):
     return sum(not comparable(a, b) for a, b in combinations(mono, 2))
 
 
+def triple_oracle(cols, n):
+    """(D, E, F) of a column multiset read off its entries and its tableau:
+    F transposes the column sizes, E has the tableau's row lengths after
+    erasing every entry n+1, and d_k counts the entries equal to k <= n-1."""
+    cols = list(cols)
+    f = transpose(tuple(sorted((c.size() for c in cols), reverse=True)))
+    counts = Counter(e for c in cols for e in c.column_set() if e <= n - 1)
+    d = normalize(tuple(counts[k] for k in range(1, max(counts, default=0) + 1)))
+    e = normalize(tuple(sum(1 for v in row if v != n + 1)
+                        for row in assemble_rows(cols)))
+    return d, e, f
+
+
+@dataclass(frozen=True)
+class GammaCell:
+    """A cell t_pos^(level) of the three-level interlacing poset Gamma."""
+
+    level: int
+    pos: int
+
+
+def gamma_cells(n):
+    """The 3n-1 cells at rank n: levels n+1, n, n-1 with min(level, n) slots."""
+    return [GammaCell(level, j)
+            for level in (n + 1, n, n - 1)
+            for j in range(1, min(level, n) + 1)]
+
+
+def birkhoff_complement(c):
+    """Cells where the characteristic function of c equals one: row k holds
+    the first m(k) cells, m(k) = #{entries of c <= k}."""
+    n, entries = c.n, c.column_set()
+    return frozenset(GammaCell(level, j)
+                     for level in (n + 1, n, n - 1)
+                     for j in range(1, sum(e <= level for e in entries) + 1))
+
+
 def _incomparable_indices(mono):
     counts = Counter((c.kind, c.idx) for c in mono)
     return [i for i in range(1, mono[0].n if mono else 0)
@@ -111,7 +155,7 @@ def chains_up_to(n, max_cols):
     out = [StandardMonomial((), n)]
     for k in range(1, max_cols + 1):
         for combo in combinations_with_replacement(cols, k):
-            if is_chain(combo):
+            if incomparable_pair_count(combo) == 0:
                 out.append(StandardMonomial(combo, n))
     return out
 

@@ -38,9 +38,8 @@ from sympbranch.monomials import (
     enumerate_standard,
     from_triple,
     is_chain,
-    middle_diagram,
+    monomial_triple,
     sample_chain,
-    shape_of,
 )
 from sympbranch.straighten import (
     FormalPolynomial,
@@ -71,11 +70,10 @@ def test_criterion_1_worked_chain_reproduction():
 
     def run():
         m = StandardMonomial(tuple(column_from_set(s, 4) for s in sets), 4)
-        return m, shape_of(m), middle_diagram(m)
+        return m, monomial_triple(m.columns)
 
-    (m, shape, middle), elapsed = best_time(run)
-    ok = (shape == ((5, 4, 3, 2), (4, 3, 1))
-          and middle == (4, 4, 2, 1)
+    (m, triple), elapsed = best_time(run)
+    ok = (triple == ((4, 3, 1), (4, 4, 2, 1), (5, 4, 3, 2))
           and from_triple((4, 3, 1), (4, 4, 2, 1), (5, 4, 3, 2), 4) == m)
     report("criterion 1: worked chain shape/middle/round-trip",
            ok and elapsed < 1e-3, f"{elapsed * 1e6:.0f} us")

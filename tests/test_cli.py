@@ -108,6 +108,10 @@ def test_straighten_parse_error(capsys):
     code, _, err = run(capsys, "straighten", "[I1,K0", "--n", "2")
     assert code == 2
     assert "error" in err
+    for expr in ("2/0*[I1]", "1/0[J0]"):
+        code, _, err = run(capsys, "straighten", expr, "--n", "2")
+        assert code == 2
+        assert err.startswith("error: zero denominator at offset 0")
 
 
 def test_verify_relations(capsys):

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_diagrams, count_patterns
+from conftest import (
+    all_diagrams,
+    birkhoff_complement,
+    count_patterns,
+    gamma_cells,
+    triple_oracle,
+)
 from sympbranch.diagrams import (
     multiplicity,
     multiplicity_nonzero,
@@ -19,11 +25,14 @@ from sympbranch.hibi import (
     pattern_of_triple,
     pattern_to_chain,
     pretty,
-    zero_pattern,
 )
-from sympbranch.lattice import column_from_set, elements, gamma_cells, leq
+from sympbranch.lattice import column_from_set, elements, leq
 from sympbranch.monomials import StandardMonomial, enumerate_standard, is_chain
 from sympbranch.straighten import hibi_product
+
+
+def zero(n):
+    return PatternMap((0,) * n, (0,) * n, (0,) * (n - 1))
 
 
 def test_pattern_validation():
@@ -41,7 +50,7 @@ def test_is_order_preserving():
     assert PatternMap((3, 3, 2, 1), (3, 3, 1, 0), (3, 2, 0)).is_order_preserving()
     assert not PatternMap((1, 0), (0, 1), (0,)).is_order_preserving()
     assert not PatternMap((2, 0), (1, 0), (2,)).is_order_preserving()
-    assert zero_pattern(3).is_order_preserving()
+    assert zero(3).is_order_preserving()
 
 
 def test_chi_displays():
@@ -56,7 +65,6 @@ def test_chi_displays():
 
 
 def test_chi_matches_birkhoff_cells():
-    from sympbranch.lattice import birkhoff_complement
     for n in (2, 3, 4):
         for col in elements(n):
             cells = birkhoff_complement(col)
@@ -77,20 +85,18 @@ def test_chain_to_pattern_examples():
                                      [1, 4], [5])), n)
     q = chain_to_pattern(worked)
     assert (q.top, q.mid, q.bot) == ((5, 4, 3, 2), (4, 4, 2, 1), (4, 3, 1))
-    assert chain_to_pattern(StandardMonomial((), n)) == zero_pattern(n)
+    assert chain_to_pattern(StandardMonomial((), n)) == zero(n)
 
 
 def test_chain_pattern_rows_match_shape_and_middle():
-    from sympbranch.monomials import middle_diagram, shape_of
     for n in (2, 3, 4):
         for k in (1, 2, 3):
             for combo in combinations_with_replacement(elements(n), k):
                 if not is_chain(combo):
                     continue
                 m = StandardMonomial(combo, n)
-                f, d = shape_of(m)
                 assert chain_to_pattern(m) == pattern_of_triple(
-                    d, middle_diagram(m), f, n)
+                    *triple_oracle(combo, n), n)
 
 
 def test_pattern_to_chain_examples():
@@ -98,7 +104,7 @@ def test_pattern_to_chain_examples():
     p = PatternMap((3, 3, 2, 1), (3, 3, 1, 0), (3, 2, 0))
     chain = pattern_to_chain(p)
     assert chain.tokens() == ["K2", "J'2", "J1"]
-    assert pattern_to_chain(zero_pattern(3)) == StandardMonomial((), 3)
+    assert pattern_to_chain(zero(3)) == StandardMonomial((), 3)
     with pytest.raises(ValueError):
         pattern_to_chain(PatternMap((1, 0), (0, 1), (0,)))
 
@@ -121,7 +127,7 @@ def test_add():
     total = a + b + c
     assert (total.top, total.mid, total.bot) == (
         (3, 3, 2, 1), (3, 3, 1, 0), (3, 2, 0))
-    assert total + zero_pattern(n) == total
+    assert total + zero(n) == total
     rng = random.Random(0)
     cols = elements(n)
     for _ in range(20):
@@ -129,7 +135,7 @@ def test_add():
         assert p + q == q + p
         assert (p + q).is_order_preserving()
     with pytest.raises(ValueError):
-        zero_pattern(2) + zero_pattern(3)
+        zero(2) + zero(3)
 
 
 def test_count_patterns_examples():
@@ -162,7 +168,7 @@ def diagram_pairs(draw):
     return normalize(d), f, n
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150)
 @given(diagram_pairs())
 def test_count_patterns_oracle_matches_multiplicity(pair):
     d, f, n = pair

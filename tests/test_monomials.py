@@ -1,7 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import all_diagrams, chains_up_to
-from sympbranch.diagrams import EQ, GE, LE, multiplicity, order_type_of, tl_weight
+from conftest import chains_up_to, incomparable_pair_count, triple_oracle
+from sympbranch.diagrams import (
+    EQ,
+    GE,
+    LE,
+    multiplicity,
+    normalize,
+    order_type_of,
+    part,
+    tl_weight,
+)
 from sympbranch.lattice import ColumnIndex, column_from_set, elements
 from sympbranch.monomials import (
     StandardMonomial,
@@ -11,10 +22,9 @@ from sympbranch.monomials import (
     enumerate_standard,
     from_triple,
     is_chain,
-    middle_diagram,
+    monomial_triple,
     natural_sl2_weight,
     sample_chain,
-    shape_of,
     to_tableau,
 )
 
@@ -39,7 +49,7 @@ def test_is_chain_examples(worked_chain):
 
 
 def test_standard_monomial_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a chain"):
         StandardMonomial((ColumnIndex("I", 1, 4), ColumnIndex("K", 0, 4)), 4)
     with pytest.raises(ValueError):
         StandardMonomial((ColumnIndex("I", 1, 3),), 4)
@@ -52,10 +62,12 @@ def test_canonical_order(worked_chain):
 
 
 def test_shape_examples(worked_chain):
-    assert shape_of(worked_chain) == ((5, 4, 3, 2), (4, 3, 1))
-    assert shape_of(StandardMonomial((), 4)) == ((), ())
-    small = StandardMonomial(columns_of(([1, 2, 4, 5], [1, 2, 5], [1, 4]), 4), 4)
-    assert shape_of(small) == ((3, 3, 2, 1), (3, 2))
+    d, _, f = monomial_triple(worked_chain.columns)
+    assert (d, f) == ((4, 3, 1), (5, 4, 3, 2))
+    assert monomial_triple(()) == ((), (), ())
+    small = columns_of(([1, 2, 4, 5], [1, 2, 5], [1, 4]), 4)
+    d, _, f = monomial_triple(small)
+    assert (d, f) == ((3, 2), (3, 3, 2, 1))
 
 
 def test_tableau_examples(worked_chain):
@@ -68,10 +80,9 @@ def test_tableau_examples(worked_chain):
 
 
 def test_middle_diagram_examples(worked_chain):
-    assert middle_diagram(worked_chain) == (4, 4, 2, 1)
-    small = StandardMonomial(columns_of(([1, 2, 4, 5], [1, 2, 5], [1, 4]), 4), 4)
-    assert middle_diagram(small) == (3, 3, 1)
-    assert middle_diagram(StandardMonomial((), 4)) == ()
+    assert monomial_triple(worked_chain.columns)[1] == (4, 4, 2, 1)
+    small = columns_of(([1, 2, 4, 5], [1, 2, 5], [1, 4]), 4)
+    assert monomial_triple(small)[1] == (3, 3, 1)
 
 
 def test_from_triple_worked_example(worked_chain):
@@ -85,10 +96,8 @@ def test_round_trip_on_all_small_chains():
     for n in (2, 3, 4):
         seen = {}
         for m in chains_up_to(n, 4 if n < 4 else 3):
-            f, d = shape_of(m)
-            e = middle_diagram(m)
-            assert from_triple(d, e, f, n) == m
-            key = (d, e, f)
+            key = monomial_triple(m.columns)
+            assert from_triple(*key, n) == m
             assert key not in seen, f"{m} and {seen[key]} collide"
             seen[key] = m
 
@@ -106,7 +115,8 @@ def test_enumerate_standard_counts():
     basis = enumerate_standard((4, 3, 1), (5, 4, 3, 2), 4)
     assert len(basis) == 16 == multiplicity((4, 3, 1), (5, 4, 3, 2), 4)
     for m in basis:
-        assert shape_of(m) == ((5, 4, 3, 2), (4, 3, 1))
+        d, _, f = monomial_triple(m.columns)
+        assert (d, f) == ((4, 3, 1), (5, 4, 3, 2))
     assert enumerate_standard((), (), 3) == [StandardMonomial((), 3)]
 
 
@@ -124,7 +134,7 @@ def test_chain_type_matches_shape_type(chains_by_rank):
     # the shape comparison d_i vs f_{i+1} counts I_i minus K_{i-1} occurrences
     for n, chains in chains_by_rank.items():
         for m in chains:
-            f, d = shape_of(m)
+            d, _, f = monomial_triple(m.columns)
             assert order_type_of(d, f, n) == chain_order_type(m)
 
 
@@ -140,8 +150,7 @@ def test_natural_weight_examples(worked_chain):
 def test_torus_weight_sum_matches_natural_weight(chains_by_rank):
     for n, chains in chains_by_rank.items():
         for m in chains:
-            f, d = shape_of(m)
-            e = middle_diagram(m)
+            d, e, f = monomial_triple(m.columns)
             assert sum(tl_weight(d, e, f, n)) == natural_sl2_weight(m)
 
 
@@ -159,3 +168,42 @@ def test_tableau_semistandard_predicate():
     assert not Tableau(((1, 2), (1, 3))).is_semistandard()  # column repeats
     assert not Tableau(((2, 1),)).is_semistandard()  # row decreases
     assert not Tableau(((1,), (1, 2))).is_semistandard()  # ragged upward
+
+
+def _interlaced_below(draw, hi, length):
+    """A diagram of at most ``length`` rows interlacing ``hi``."""
+    return normalize([draw(st.integers(part(hi, i + 1), part(hi, i)))
+                      for i in range(1, length + 1)])
+
+
+@st.composite
+def doubly_interlacing_triples(draw):
+    n = draw(st.integers(2, 6))
+    f = normalize(sorted(draw(st.lists(st.integers(0, 8), max_size=n)),
+                         reverse=True))
+    e = _interlaced_below(draw, f, n)
+    return _interlaced_below(draw, e, n - 1), e, f, n
+
+
+@settings(max_examples=300)
+@given(doubly_interlacing_triples())
+def test_from_triple_round_trips_through_monomial_triple(triple):
+    d, e, f, n = triple
+    assert monomial_triple(from_triple(d, e, f, n).columns) == (d, e, f)
+
+
+@st.composite
+def column_multisets(draw):
+    n = draw(st.integers(2, 6))
+    cols = elements(n)
+    col = st.sampled_from(cols) | st.sampled_from(
+        [c for c in cols if c.kind in ("I", "K")])
+    return draw(st.lists(col, max_size=10)), n
+
+
+@settings(max_examples=300)
+@given(column_multisets())
+def test_monomial_triple_and_is_chain_match_oracles(multiset):
+    cols, n = multiset
+    assert monomial_triple(cols) == triple_oracle(cols, n)
+    assert is_chain(cols) == (incomparable_pair_count(cols) == 0)

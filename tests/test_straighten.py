@@ -11,7 +11,7 @@ from conftest import incomparable_pair_count, rewrite_straighten
 from sympbranch.diagrams import multiplicity
 from sympbranch.exacteval import eval_poly, random_rational_matrix
 from sympbranch.lattice import ColumnIndex, elements
-from sympbranch.monomials import is_chain, monomial_shape
+from sympbranch.monomials import is_chain, monomial_triple
 from sympbranch.straighten import (
     FormalPolynomial,
     canonical_monomial,
@@ -143,11 +143,12 @@ def test_content_and_shape_preserved():
         for k in (2, 3):
             for combo in combinations_with_replacement(elements(n), k):
                 out = straighten(FormalPolynomial.monomial(combo))
-                shape = monomial_shape(combo)
+                d, _, f = monomial_triple(combo)
                 small_content = sorted(e for c in combo
                                        for e in c.column_set() if e <= n - 1)
                 for mono in out.terms:
-                    assert monomial_shape(mono) == shape
+                    d_out, _, f_out = monomial_triple(mono)
+                    assert (d_out, f_out) == (d, f)
                     assert sorted(e for c in mono
                                   for e in c.column_set() if e <= n - 1) == small_content
 
@@ -173,7 +174,7 @@ def test_straighten_output_count_bounded_by_multiplicity():
         for k in (1, 2, 3):
             for combo in combinations_with_replacement(elements(n), k):
                 out = straighten(FormalPolynomial.monomial(combo))
-                f, d = monomial_shape(combo)
+                d, _, f = monomial_triple(combo)
                 assert len(out.terms) <= multiplicity(d, f, n)
 
 
@@ -211,7 +212,7 @@ def polynomials(draw):
                                           min_size=1, max_size=3)))
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150)
 @given(polynomials(), st.integers(0, 2 ** 32))
 def test_closed_form_matches_rewrite_oracle(p, chooser_seed):
     chooser = random.Random(chooser_seed)
