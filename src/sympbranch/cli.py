@@ -83,20 +83,18 @@ def _cmd_straighten(args) -> int:
     base = straighten.default_weight_base(args.n)
     result = (straighten.hibi_normal_form(poly) if args.hibi
               else straighten.straighten(poly))
-    terms = []
-    for mono, coeff in straighten.sorted_terms(result):
-        terms.append({"coeff": f"{coeff.numerator}/{coeff.denominator}",
-                      "monomial": [c.token() for c in mono],
-                      "weight": straighten.lattice_weight(mono, base)})
+    ordered = straighten.sorted_terms(result)
+    terms = straighten.poly_to_json(result)
+    for term, (mono, _) in zip(terms, ordered):
+        term["weight"] = straighten.lattice_weight(mono, base)
     payload = {"schema": SCHEMA, "command": "straighten", "n": args.n,
                "mode": "hibi" if args.hibi else "straighten",
                "input": straighten.format_poly(poly),
                "weight_base": base, "terms": terms,
                "result": straighten.format_poly(result)}
     lines = [straighten.format_poly(result)]
-    lines += [f"  {str(coeff):>5}  [{','.join(c.token() for c in mono)}]"
-              f"  wt={straighten.lattice_weight(mono, base)}"
-              for mono, coeff in straighten.sorted_terms(result)]
+    lines += [f"  {str(coeff):>5}  [{','.join(term['monomial'])}]"
+              f"  wt={term['weight']}" for term, (_, coeff) in zip(terms, ordered)]
     lines.append(f"(weight base N = {base})")
     _emit(payload, lines, args.json)
     return 0

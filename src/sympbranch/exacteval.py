@@ -1,9 +1,11 @@
 """Exact evaluation of the minor generators and randomized identity checks.
 
 Everything here is rational arithmetic on small matrices: generators are
-evaluated as determinants of top-left minors, group elements are produced as
-products of torus matrices and square-zero root exponentials (hence exact),
-and ranks are certified by fraction-free elimination over the integers.
+evaluated as determinants of top-left minors, and ranks are certified by
+fraction-free elimination over the integers.  Group elements act without
+building their factors (so sampled ones are exactly symplectic): a square-zero
+root exponential 1 + c E_ij adds c times column i to column j, and a torus
+element scales columns, or rows and columns when it acts on both sides.
 """
 
 from __future__ import annotations
@@ -35,14 +37,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, size: int) -> "ExactMatrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(size)]
-                    for i in range(size)])
-
-    @classmethod
-    def diagonal(cls, entries) -> "ExactMatrix":
-        entries = [Fraction(e) for e in entries]
-        return cls([[entries[i] if i == j else _ZERO
-                     for j in range(len(entries))] for i in range(len(entries))])
+        return cls(_identity_rows(size))
 
     @property
     def size(self) -> int:
@@ -58,28 +53,15 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(list(zip(*self.rows)))
 
-    def inverse(self) -> "ExactMatrix":
-        size = self.size
-        work = [list(row) + [_ONE if i == j else _ZERO for j in range(size)]
-                for i, row in enumerate(self.rows)]
-        for c in range(size):
-            pivot = next((r for r in range(c, size) if work[r][c]), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            work[c], work[pivot] = work[pivot], work[c]
-            inv = 1 / work[c][c]
-            work[c] = [v * inv for v in work[c]]
-            for r in range(size):
-                if r != c and work[r][c]:
-                    factor = work[r][c]
-                    work[r] = [v - factor * w for v, w in zip(work[r], work[c])]
-        return ExactMatrix([row[size:] for row in work])
-
     def __eq__(self, other):
         return isinstance(other, ExactMatrix) and self.rows == other.rows
 
     def __repr__(self):
         return f"ExactMatrix({self.size}x{self.size})"
+
+
+def _identity_rows(size: int) -> list[list[Fraction]]:
+    return [[_ONE if i == j else _ZERO for j in range(size)] for i in range(size)]
 
 
 def det(rows) -> Fraction:
@@ -199,59 +181,52 @@ class TorusElement:
     def n(self) -> int:
         return len(self.t)
 
-    def left_matrix(self) -> ExactMatrix:
-        return ExactMatrix.diagonal(list(self.t) + [1 / v for v in reversed(self.t)])
 
-    def right_matrix(self) -> ExactMatrix:
-        return ExactMatrix.diagonal(list(self.s) + [_ONE, _ONE]
-                                    + [1 / v for v in reversed(self.s)])
+# A root exponential 1 + sum c E_ij is given by its two (i, j, c) entries,
+# 1-based; when they coincide c counts twice.  No column j is also a column i.
 
-
-def _unit_plus(size: int, entries: dict) -> ExactMatrix:
-    rows = [[_ONE if i == j else _ZERO for j in range(size)] for i in range(size)]
-    for (i, j), v in entries.items():
-        rows[i - 1][j - 1] += Fraction(v)
-    return ExactMatrix(rows)
-
-
-def _diag_root(n: int, a: int, b: int, c: int) -> ExactMatrix:
+def _diag_root(n: int, a: int, b: int, c: int):
     # exp of the square-zero element E_{ab} - E_{2n+1-b, 2n+1-a}, a != b
-    return _unit_plus(2 * n, {(a, b): c, (2 * n + 1 - b, 2 * n + 1 - a): -c})
+    return (a, b, c), (2 * n + 1 - b, 2 * n + 1 - a, -c)
 
 
-def _upper_root(n: int, a: int, b: int, c: int) -> ExactMatrix:
-    entries = {(a, n + b): c}
-    other = (n + 1 - b, 2 * n + 1 - a)
-    entries[other] = entries.get(other, 0) + c
-    return _unit_plus(2 * n, entries)
+def _upper_root(n: int, a: int, b: int, c: int):
+    return (a, n + b, c), (n + 1 - b, 2 * n + 1 - a, c)
 
 
-def _lower_root(n: int, a: int, b: int, c: int) -> ExactMatrix:
-    entries = {(n + a, b): c}
-    other = (2 * n + 1 - b, n + 1 - a)
-    entries[other] = entries.get(other, 0) + c
-    return _unit_plus(2 * n, entries)
+def _lower_root(n: int, a: int, b: int, c: int):
+    return (n + a, b, c), (2 * n + 1 - b, n + 1 - a, c)
 
 
-def _small_torus(n: int, rng: random.Random) -> ExactMatrix:
-    values = [Fraction(rng.choice((1, 2, 3, -1, -2, -3))) for _ in range(n)]
-    return ExactMatrix.diagonal(values + [1 / v for v in reversed(values)])
+def _add_columns(rows, entries) -> None:
+    """Right-multiply rows in place by a root exponential: column j += c * column i.
+    The columns written are never the columns read, so this is the exact product."""
+    for i, j, c in entries:
+        for row in rows:
+            row[j - 1] += c * row[i - 1]
 
 
-def _symplectic_factor(n: int, rng: random.Random) -> ExactMatrix:
+def _symplectic_step(rows, n: int, rng: random.Random) -> None:
+    """Right-multiply rows in place by one random torus or root factor."""
     kind = rng.randrange(4)
     if kind == 0:
-        return _small_torus(n, rng)
+        values = [Fraction(rng.choice((1, 2, 3, -1, -2, -3))) for _ in range(n)]
+        scale = values + [1 / v for v in reversed(values)]
+        for row in rows:
+            row[:] = [x * s for x, s in zip(row, scale)]
+        return
     c = rng.choice((1, 2, 3, -1, -2, -3))
     if kind == 1:
         a, b = rng.sample(range(1, n + 1), 2)
-        return _diag_root(n, a, b, c)
-    a, b = rng.randint(1, n), rng.randint(1, n)
-    return (_upper_root if kind == 2 else _lower_root)(n, a, b, c)
+        _add_columns(rows, _diag_root(n, a, b, c))
+    else:
+        a, b = rng.randint(1, n), rng.randint(1, n)
+        _add_columns(rows, (_upper_root if kind == 2 else _lower_root)(n, a, b, c))
 
 
 def random_symplectic(n: int, seed: int, factors: int | None = None) -> ExactMatrix:
-    """Seeded product of torus factors and root exponentials.
+    """Seeded product of torus factors and root exponentials, each applied in
+    place to the columns of the identity.
 
     ``factors=0`` gives the identity; by default the factor count is drawn
     as 4 to 6 sweeps of n(n+1)/2 factors, enough mixing for the sampled
@@ -262,10 +237,10 @@ def random_symplectic(n: int, seed: int, factors: int | None = None) -> ExactMat
         raise ValueError(f"rank must be at least 2, got {n}")
     rng = random.Random(seed)
     count = rng.randint(4, 6) * (n * (n + 1) // 2) if factors is None else factors
-    out = ExactMatrix.identity(2 * n)
+    rows = _identity_rows(2 * n)
     for _ in range(count):
-        out = out @ _symplectic_factor(n, rng)
-    return out
+        _symplectic_step(rows, n, rng)
+    return ExactMatrix(rows)
 
 
 def embed_subgroup(M: ExactMatrix, n: int) -> ExactMatrix:
@@ -277,7 +252,7 @@ def embed_subgroup(M: ExactMatrix, n: int) -> ExactMatrix:
     def spread(i):
         return i if i < m else i + 2
 
-    rows = [[_ONE if i == j else _ZERO for j in range(2 * n)] for i in range(2 * n)]
+    rows = _identity_rows(2 * n)
     for i in range(2 * m):
         for j in range(2 * m):
             rows[spread(i)][spread(j)] = M.rows[i][j]
@@ -294,32 +269,23 @@ def random_unipotent(n: int, which: str, seed: int,
     """
     if n < 2:
         raise ValueError(f"rank must be at least 2, got {n}")
+    if which not in ("lower", "upper_embedded"):
+        raise ValueError(f"unknown subgroup {which!r}")
     rng = random.Random(seed)
     count = rng.randint(2 * n, 4 * n) if factors is None else factors
-    if which == "lower":
-        out = ExactMatrix.identity(2 * n)
-        for _ in range(count):
-            c = rng.randint(-3, 3)
-            if n >= 2 and rng.randrange(2):
-                a, b = sorted(rng.sample(range(1, n + 1), 2), reverse=True)
-                out = out @ _diag_root(n, a, b, c)
-            else:
-                a, b = rng.randint(1, n), rng.randint(1, n)
-                out = out @ _lower_root(n, a, b, c)
-        return out
-    if which == "upper_embedded":
-        m = n - 1
-        out = ExactMatrix.identity(2 * m)
-        for _ in range(count):
-            c = rng.randint(-3, 3)
-            if m >= 2 and rng.randrange(2):
-                a, b = sorted(rng.sample(range(1, m + 1), 2))
-                out = out @ _diag_root(m, a, b, c)
-            else:
-                a, b = rng.randint(1, m), rng.randint(1, m)
-                out = out @ _upper_root(m, a, b, c)
-        return embed_subgroup(out, n)
-    raise ValueError(f"unknown subgroup {which!r}")
+    lower = which == "lower"
+    m = n if lower else n - 1
+    rows = _identity_rows(2 * m)
+    for _ in range(count):
+        c = rng.randint(-3, 3)
+        if m >= 2 and rng.randrange(2):
+            a, b = sorted(rng.sample(range(1, m + 1), 2), reverse=lower)
+            _add_columns(rows, _diag_root(m, a, b, c))
+        else:
+            a, b = rng.randint(1, m), rng.randint(1, m)
+            _add_columns(rows, (_lower_root if lower else _upper_root)(m, a, b, c))
+    out = ExactMatrix(rows)
+    return out if lower else embed_subgroup(out, n)
 
 
 def random_rational_matrix(n: int, seed: int) -> ExactMatrix:
@@ -360,14 +326,27 @@ def verify_straightening_identity(X: ExactMatrix) -> bool:
     return True
 
 
-def verify_invariance(m: StandardMonomial, seed: int) -> bool:
-    """Chain values are unchanged by the two-sided unipotent action."""
+def verify_invariance(monos, seed: int) -> list[StandardMonomial]:
+    """The chains among ``monos`` (all of one rank n) whose values differ at
+    u X v and at X, for one seeded point X of Sp(2n), u in its lower unipotent
+    and v in the embedded upper unipotent of Sp(2n-2).  Invariance is usually
+    stated for u^-1 X v; the lower unipotent group is closed under inversion,
+    so u X v is as general a moved point.  An empty list certifies the
+    sampled instance."""
+    n = monos[0].n
     rng = random.Random(seed)
-    u1 = random_unipotent(m.n, "lower", rng.getrandbits(64))
-    u2 = random_unipotent(m.n, "upper_embedded", rng.getrandbits(64))
-    X = random_symplectic(m.n, rng.getrandbits(64))
-    moved = u1.inverse() @ X @ u2
-    return eval_monomial(m.columns, moved) == eval_monomial(m.columns, X)
+    u = random_unipotent(n, "lower", rng.getrandbits(64))
+    v = random_unipotent(n, "upper_embedded", rng.getrandbits(64))
+    X = random_symplectic(n, rng.getrandbits(64))
+    before, after = delta_table(n, X), delta_table(n, u @ X @ v)
+    return [m for m in monos if math.prod(after[c] for c in m.columns)
+            != math.prod(before[c] for c in m.columns)]
+
+
+def _scaled(X: ExactMatrix, left, right) -> ExactMatrix:
+    """diag(left)^-1 @ X @ diag(right): entry (i, j) is X_ij * right_j / left_i."""
+    return ExactMatrix([[x * r / lv for x, r in zip(row, right)]
+                        for row, lv in zip(X.rows, left)])
 
 
 def verify_torus_weight(m: StandardMonomial, t: TorusElement,
@@ -381,7 +360,8 @@ def verify_torus_weight(m: StandardMonomial, t: TorusElement,
         character *= tv ** (-diagrams.part(f, i))
     for k, sv in enumerate(t.s, start=1):
         character *= sv ** diagrams.part(d, k)
-    moved = t.left_matrix().inverse() @ X @ t.right_matrix()
+    moved = _scaled(X, t.t + tuple(1 / v for v in reversed(t.t)),
+                    t.s + (_ONE, _ONE) + tuple(1 / v for v in reversed(t.s)))
     return eval_monomial(m.columns, moved) == character * eval_monomial(m.columns, X)
 
 
@@ -400,8 +380,7 @@ def verify_generator_weight(c: ColumnIndex, tdiag, sdiag, X: ExactMatrix) -> boo
         character /= tdiag[i]
     for j in cset:
         character *= sdiag[j - 1]
-    moved = ExactMatrix.diagonal(tdiag).inverse() @ X @ ExactMatrix.diagonal(sdiag)
-    return delta(c, moved) == character * delta(c, X)
+    return delta(c, _scaled(X, tdiag, sdiag)) == character * delta(c, X)
 
 
 def independence_certificate(d, f, n: int, seed: int = 0, trials: int = 3) -> dict:
@@ -416,13 +395,7 @@ def independence_certificate(d, f, n: int, seed: int = 0, trials: int = 3) -> di
         for _ in range(count + 2):
             point_seed = rng.getrandbits(64)
             table = delta_table(n, random_symplectic(n, point_seed))
-            row = []
-            for m in monos:
-                value = _ONE
-                for c in m.columns:
-                    value *= table[c]
-                row.append(value)
-            rows.append(row)
+            rows.append([math.prod(table[c] for c in m.columns) for m in monos])
         rank = exact_rank(rows) if count else 0
         if rank == count:
             return {"ok": True, "rank": rank, "monomials": count,
@@ -457,10 +430,8 @@ def invariance_suite(n: int, seed: int, trials: int) -> dict:
     failures = []
     for trial in range(trials):
         trial_seed = rng.getrandbits(64)
-        for m in targets:
-            if not verify_invariance(m, trial_seed):
-                failures.append({"seed": trial_seed,
-                                 "witness": {"monomial": m.tokens()}})
+        failures += [{"seed": trial_seed, "witness": {"monomial": m.tokens()}}
+                     for m in verify_invariance(targets, trial_seed)]
     return {"op": "invariance", "params": {"n": n, "seed": seed},
             "trials": trials, "failures": failures}
 

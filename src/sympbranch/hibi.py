@@ -86,8 +86,11 @@ def pattern_to_chain(p: PatternMap) -> StandardMonomial:
 
 def pattern_of_triple(d, e, f, n: int) -> PatternMap:
     """The pattern with rows f, e, d, each padded with zeros to its length."""
-    return PatternMap(*((normalize(row) + (0,) * size)[:size]
-                        for row, size in ((f, n), (e, n), (d, n - 1))))
+    rows = [(normalize(row), size) for row, size in ((f, n), (e, n), (d, n - 1))]
+    if any(len(row) > size for row, size in rows):
+        raise ValueError(f"rows {[list(r) for r, _ in rows]} are longer than "
+                         f"the pattern rows ({n}, {n}, {n - 1})")
+    return PatternMap(*(row + (0,) * (size - len(row)) for row, size in rows))
 
 
 def pretty(p: PatternMap) -> str:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings
 
 from sympbranch.diagrams import normalize, part, transpose
+from sympbranch.exacteval import ExactMatrix
 from sympbranch.hibi import PatternMap
 from sympbranch.lattice import ColumnIndex, comparable, elements
 from sympbranch.monomials import StandardMonomial, assemble_rows
@@ -69,6 +70,21 @@ def count_patterns(d, f, n):
     bot = tuple(part(d, i) for i in range(1, n))
     return sum(PatternMap(top, mid, bot).is_order_preserving()
                for mid in weakly_decreasing_tuples(part(f, 1), n))
+
+
+def unit_plus(size, entries):
+    """Dense factor: the identity plus c at (i, j), 1-based, for each (i, j, c)
+    entry; coinciding entries add up."""
+    rows = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    for i, j, c in entries:
+        rows[i - 1][j - 1] += c
+    return ExactMatrix(rows)
+
+
+def dense_diagonal(entries):
+    return ExactMatrix([[Fraction(e) if i == j else Fraction(0)
+                         for j in range(len(entries))]
+                        for i, e in enumerate(entries)])
 
 
 def incomparable_pair_count(mono):

@@ -42,6 +42,10 @@ def test_pattern_validation():
         PatternMap((1, 1), (1, 1), (-1,))
     with pytest.raises(ValueError):
         PatternMap((1,), (1,), ())
+    with pytest.raises(ValueError):
+        pattern_of_triple((), (), (1, 1, 1), 2)  # f longer than n
+    with pytest.raises(ValueError):
+        pattern_of_triple((1, 1), (), (), 2)  # d longer than n - 1
     p = PatternMap([3, 2], [2, 1], [2])
     assert p.n == 2 and p.top == (3, 2)
 
