@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from sympbranch import diagrams, exacteval, hibi, monomials, straighten
 from sympbranch.diagrams import normalize, order_type_str
@@ -104,22 +105,16 @@ _SUITES = ("relations", "invariance", "torus", "independence", "all")
 
 
 def _cmd_verify(args) -> int:
-    if args.suite not in _SUITES:
-        raise ValueError(f"unknown suite {args.suite!r}")
+    if args.suite not in ("independence", "all") and (args.D, args.F) != (None, None):
+        raise ValueError("--D and --F apply only to the independence suite")
     names = _SUITES[:-1] if args.suite == "all" else (args.suite,)
     d = _parse_diagram(args.D) if args.D is not None else None
     f = _parse_diagram(args.F) if args.F is not None else None
-    reports = []
-    for name in names:
-        if name == "relations":
-            reports.append(exacteval.relations_suite(args.n, args.seed, args.trials))
-        elif name == "invariance":
-            reports.append(exacteval.invariance_suite(args.n, args.seed, args.trials))
-        elif name == "torus":
-            reports.append(exacteval.torus_suite(args.n, args.seed, args.trials))
-        else:
-            reports.append(exacteval.independence_suite(
-                args.n, args.seed, args.trials, d=d, f=f))
+    suites = {"relations": exacteval.relations_suite,
+              "invariance": exacteval.invariance_suite,
+              "torus": exacteval.torus_suite,
+              "independence": partial(exacteval.independence_suite, d=d, f=f)}
+    reports = [suites[name](args.n, args.seed, args.trials) for name in names]
     total = sum(len(r["failures"]) for r in reports)
     payload = {"schema": SCHEMA, "command": "verify", "suite": args.suite,
                "n": args.n, "seed": args.seed, "trials": args.trials,

@@ -6,6 +6,7 @@ fraction-free elimination over the integers.  Group elements act without
 building their factors (so sampled ones are exactly symplectic): a square-zero
 root exponential 1 + c E_ij adds c times column i to column j, and a torus
 element scales columns, or rows and columns when it acts on both sides.
+Points are sampled in integers over one denominator per column, then wrapped.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from fractions import Fraction
 from sympbranch import diagrams
 from sympbranch.lattice import ColumnIndex, elements
 from sympbranch.monomials import (StandardMonomial, enumerate_standard,
-                                  monomial_triple, sample_chain)
+                                  monomial_triple, natural_sl2_weight,
+                                  sample_chain)
 from sympbranch.straighten import FormalPolynomial
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -60,8 +62,8 @@ class ExactMatrix:
         return f"ExactMatrix({self.size}x{self.size})"
 
 
-def _identity_rows(size: int) -> list[list[Fraction]]:
-    return [[_ONE if i == j else _ZERO for j in range(size)] for i in range(size)]
+def _identity_rows(size: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(size)] for i in range(size)]
 
 
 def det(rows) -> Fraction:
@@ -198,35 +200,42 @@ def _lower_root(n: int, a: int, b: int, c: int):
     return (n + a, b, c), (2 * n + 1 - b, n + 1 - a, c)
 
 
-def _add_columns(rows, entries) -> None:
-    """Right-multiply rows in place by a root exponential: column j += c * column i.
-    The columns written are never the columns read, so this is the exact product."""
+# A point being sampled is integer rows num over one denominator q_j per
+# column, entry (r, j) = num[r][j] / q_j; each factor right-multiplies it in
+# place, and _wrap reduces each entry once.
+
+def _root_step(num, q, entries) -> None:
+    """Column j += c * column i over L = lcm(q_i, q_j).  The columns written
+    are never the columns read, so this is the exact product."""
     for i, j, c in entries:
-        for row in rows:
-            row[j - 1] += c * row[i - 1]
+        i, j = i - 1, j - 1
+        common = math.lcm(q[i], q[j])
+        a, b = common // q[j], c * (common // q[i])
+        for row in num:
+            row[j] = a * row[j] + b * row[i]
+        q[j] = common
 
 
-def _symplectic_step(rows, n: int, rng: random.Random) -> None:
-    """Right-multiply rows in place by one random torus or root factor."""
-    kind = rng.randrange(4)
-    if kind == 0:
-        values = [Fraction(rng.choice((1, 2, 3, -1, -2, -3))) for _ in range(n)]
-        scale = values + [1 / v for v in reversed(values)]
-        for row in rows:
-            row[:] = [x * s for x, s in zip(row, scale)]
-        return
-    c = rng.choice((1, 2, 3, -1, -2, -3))
-    if kind == 1:
-        a, b = rng.sample(range(1, n + 1), 2)
-        _add_columns(rows, _diag_root(n, a, b, c))
-    else:
-        a, b = rng.randint(1, n), rng.randint(1, n)
-        _add_columns(rows, (_upper_root if kind == 2 else _lower_root)(n, a, b, c))
+def _torus_step(num, q, values) -> None:
+    """Scale by diag(v_1..v_n, 1/v_n..1/v_1): |v| goes into the denominators
+    of the last n columns and its sign into their numerators."""
+    n = len(values)
+    scale = values + [1 if v > 0 else -1 for v in reversed(values)]
+    for row in num:
+        row[:] = [x * v for x, v in zip(row, scale)]
+    q[n:] = [d * abs(v) for d, v in zip(q[n:], reversed(values))]
+
+
+def _wrap(num, q) -> ExactMatrix:
+    return ExactMatrix([[Fraction(x, d) for x, d in zip(row, q)] for row in num])
+
+
+_UNITS = (1, 2, 3, -1, -2, -3)
 
 
 def random_symplectic(n: int, seed: int, factors: int | None = None) -> ExactMatrix:
     """Seeded product of torus factors and root exponentials, each applied in
-    place to the columns of the identity.
+    place to the integer point of the identity and wrapped once.
 
     ``factors=0`` gives the identity; by default the factor count is drawn
     as 4 to 6 sweeps of n(n+1)/2 factors, enough mixing for the sampled
@@ -237,10 +246,20 @@ def random_symplectic(n: int, seed: int, factors: int | None = None) -> ExactMat
         raise ValueError(f"rank must be at least 2, got {n}")
     rng = random.Random(seed)
     count = rng.randint(4, 6) * (n * (n + 1) // 2) if factors is None else factors
-    rows = _identity_rows(2 * n)
+    num, q = _identity_rows(2 * n), [1] * (2 * n)
     for _ in range(count):
-        _symplectic_step(rows, n, rng)
-    return ExactMatrix(rows)
+        kind = rng.randrange(4)
+        if kind == 0:
+            _torus_step(num, q, [rng.choice(_UNITS) for _ in range(n)])
+            continue
+        c = rng.choice(_UNITS)
+        if kind == 1:
+            a, b = rng.sample(range(1, n + 1), 2)
+            _root_step(num, q, _diag_root(n, a, b, c))
+        else:
+            a, b = rng.randint(1, n), rng.randint(1, n)
+            _root_step(num, q, (_upper_root if kind == 2 else _lower_root)(n, a, b, c))
+    return _wrap(num, q)
 
 
 def embed_subgroup(M: ExactMatrix, n: int) -> ExactMatrix:
@@ -275,16 +294,16 @@ def random_unipotent(n: int, which: str, seed: int,
     count = rng.randint(2 * n, 4 * n) if factors is None else factors
     lower = which == "lower"
     m = n if lower else n - 1
-    rows = _identity_rows(2 * m)
+    num, q = _identity_rows(2 * m), [1] * (2 * m)
     for _ in range(count):
         c = rng.randint(-3, 3)
         if m >= 2 and rng.randrange(2):
             a, b = sorted(rng.sample(range(1, m + 1), 2), reverse=lower)
-            _add_columns(rows, _diag_root(m, a, b, c))
+            _root_step(num, q, _diag_root(m, a, b, c))
         else:
             a, b = rng.randint(1, m), rng.randint(1, m)
-            _add_columns(rows, (_lower_root if lower else _upper_root)(m, a, b, c))
-    out = ExactMatrix(rows)
+            _root_step(num, q, (_lower_root if lower else _upper_root)(m, a, b, c))
+    out = _wrap(num, q)
     return out if lower else embed_subgroup(out, n)
 
 
@@ -299,7 +318,7 @@ def random_torus_element(n: int, seed: int) -> TorusElement:
     rng = random.Random(seed)
 
     def value():
-        return Fraction(rng.choice((1, 2, 3, -1, -2, -3)), rng.randint(1, 3))
+        return Fraction(rng.choice(_UNITS), rng.randint(1, 3))
 
     return TorusElement(tuple(value() for _ in range(n)),
                         tuple(value() for _ in range(n - 1)))
@@ -384,25 +403,48 @@ def verify_generator_weight(c: ColumnIndex, tdiag, sdiag, X: ExactMatrix) -> boo
 
 
 def independence_certificate(d, f, n: int, seed: int = 0, trials: int = 3) -> dict:
-    """Evaluate the standard monomials of shape f/d at fresh symplectic points
-    until the value matrix reaches full column rank, then report."""
+    """Certify that the standard monomials of shape f/d are independent on
+    Sp(2n), one SL2 weight block at a time.
+
+    tau_s = diag(1, .., 1, s, 1/s, 1, .., 1), s at coordinate n, is
+    symplectic, and right translation by it scales each chain m by s^w(m),
+    w = ``natural_sl2_weight``.  So a relation sum a_m m = 0 on Sp(2n) gives,
+    at each X tau_s, a Laurent polynomial in s that vanishes for all s != 0;
+    by a Vandermonde argument each weight's part vanishes alone.  The
+    monomials are independent exactly when each weight block is, and a block
+    is when its values at sampled points have full column rank.
+
+    Each trial samples (largest block + 2) points and ranks each block not
+    yet full.  ``rank`` sums the block ranks, ``blocks`` lists
+    [weight, size, rank], and a failure's witness names the pair and each
+    block that fell short.
+    """
+    d, f = diagrams.normalize(d), diagrams.normalize(f)
     monos = enumerate_standard(d, f, n)
-    count = len(monos)
+    blocks: dict[int, list[int]] = {}
+    for k, m in enumerate(monos):
+        blocks.setdefault(natural_sl2_weight(m), []).append(k)
+    ranks = dict.fromkeys(blocks, 0)
+    width = max(map(len, blocks.values()), default=0) + 2
     rng = random.Random(seed)
     rows: list[list[Fraction]] = []
-    rank = 0
-    for trial in range(trials):
-        for _ in range(count + 2):
-            point_seed = rng.getrandbits(64)
-            table = delta_table(n, random_symplectic(n, point_seed))
+    while sum(ranks.values()) < len(monos) and len(rows) < trials * width:
+        for _ in range(width):
+            table = delta_table(n, random_symplectic(n, rng.getrandbits(64)))
             rows.append([math.prod(table[c] for c in m.columns) for m in monos])
-        rank = exact_rank(rows) if count else 0
-        if rank == count:
-            return {"ok": True, "rank": rank, "monomials": count,
-                    "points": len(rows), "trials_used": trial + 1}
-    return {"ok": count == 0, "rank": rank, "monomials": count,
-            "points": len(rows), "trials_used": trials,
-            "witness": {"seed": seed, "rank": rank, "needed": count}}
+        for w, cols in blocks.items():
+            if ranks[w] < len(cols):
+                ranks[w] = exact_rank([[row[k] for k in cols] for row in rows])
+    report = [[w, len(cols), ranks[w]] for w, cols in sorted(blocks.items())]
+    rank = sum(ranks.values())
+    cert = {"ok": rank == len(monos), "rank": rank, "monomials": len(monos),
+            "points": len(rows), "trials_used": len(rows) // width,
+            "blocks": report}
+    if not cert["ok"]:
+        cert["witness"] = {"seed": seed, "D": list(d), "F": list(f),
+                           "rank": rank, "needed": len(monos),
+                           "blocks": [b for b in report if b[2] < b[1]]}
+    return cert
 
 
 def verify_independence(d, f, n: int, seed: int = 0, trials: int = 3) -> bool:
@@ -454,7 +496,7 @@ def torus_suite(n: int, seed: int, trials: int) -> dict:
         diag_rng = random.Random(sub.getrandbits(64))
 
         def diag():
-            return [Fraction(diag_rng.choice((1, 2, 3, -1, -2, -3)),
+            return [Fraction(diag_rng.choice(_UNITS),
                              diag_rng.randint(1, 3)) for _ in range(2 * n)]
 
         tdiag, sdiag = diag(), diag()

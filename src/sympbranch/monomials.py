@@ -26,11 +26,6 @@ class StandardMonomial:
         if not is_chain(cols):
             raise ValueError(f"{self} holds some I_i with K_(i-1): not a chain")
 
-    @classmethod
-    def from_tokens(cls, tokens, n: int) -> "StandardMonomial":
-        from sympbranch.lattice import parse_column
-        return cls(tuple(parse_column(t, n) for t in tokens), n)
-
     def tokens(self) -> list[str]:
         return [c.token() for c in self.columns]
 

@@ -130,6 +130,19 @@ def test_verify_independence_single_pair(capsys):
     assert payload["reports"][0]["checked"][0]["rank"] == 2
 
 
+def test_verify_diagrams_only_for_independence(capsys):
+    for suite in ("relations", "invariance", "torus"):
+        code, out, err = run(capsys, "verify", suite, "--n", "2", "--trials",
+                             "1", "--D", "1", "--F", "1,1")
+        assert code == 2 and out == ""
+        assert err == "error: --D and --F apply only to the independence suite\n"
+    code, out, _ = run(capsys, "verify", "all", "--n", "2", "--trials", "1",
+                       "--D", "1", "--F", "1,1", "--json")
+    assert code == 0
+    checked = json.loads(out)["reports"][-1]["checked"]
+    assert [(c["D"], c["F"]) for c in checked] == [([1], [1, 1])]
+
+
 def test_verify_all_small(capsys):
     code, out, _ = run(capsys, "verify", "all", "--n", "2", "--trials", "3",
                        "--seed", "1", "--json")

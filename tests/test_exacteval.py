@@ -11,11 +11,11 @@ from sympbranch import exacteval
 from sympbranch.exacteval import (
     ExactMatrix,
     TorusElement,
-    _add_columns,
     _diag_root,
     _lower_root,
+    _root_step,
     _scaled,
-    _symplectic_step,
+    _torus_step,
     _upper_root,
     delta,
     delta_table,
@@ -25,6 +25,7 @@ from sympbranch.exacteval import (
     eval_poly,
     exact_rank,
     independence_certificate,
+    independence_suite,
     invariance_suite,
     is_symplectic,
     random_rational_matrix,
@@ -41,7 +42,8 @@ from sympbranch.exacteval import (
     verify_torus_weight,
 )
 from sympbranch.lattice import ColumnIndex, elements
-from sympbranch.monomials import StandardMonomial, sample_chain
+from sympbranch.monomials import (StandardMonomial, enumerate_standard,
+                                  natural_sl2_weight, sample_chain)
 from sympbranch.straighten import FormalPolynomial
 
 
@@ -148,51 +150,46 @@ def test_random_symplectic_contract():
     assert random_symplectic(2, 5, factors=0) == ExactMatrix.identity(4)
 
 
-class _TorusDraws:
-    """Stands in for the rng of one sampler step: the torus kind, then values."""
-
-    def __init__(self, values):
-        self.values = iter(values)
-
-    def randrange(self, _):
-        return 0
-
-    def choice(self, _):
-        return next(self.values)
-
-
-_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 _units = st.sampled_from((1, 2, 3, -1, -2, -3))
+
+
+def _point(num, q):
+    """The matrix of an integer point: entry (r, j) is num[r][j] / q[j]."""
+    return ExactMatrix([[Fraction(x, d) for x, d in zip(row, q)] for row in num])
 
 
 @settings(max_examples=200)
 @given(st.data())
 def test_in_place_factors_match_dense_products(data):
+    # The integer kernel on random numerators and column denominators: each
+    # root kind and a torus step equal the product with the dense factor.
     n = data.draw(st.integers(2, 5))
     size = 2 * n
-    X = [data.draw(st.lists(_rationals, min_size=size, max_size=size))
-         for _ in range(size)]
+    num = [data.draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+           for _ in range(size)]
+    q = data.draw(st.lists(st.integers(1, 12), min_size=size, max_size=size))
+    X = _point(num, q)
     a, b = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
     c = data.draw(st.integers(-3, 3))
     roots = [_upper_root(n, a, b, c), _lower_root(n, a, b, c)]
     if a != b:
         roots.append(_diag_root(n, a, b, c))
     for entries in roots:
-        rows = [list(row) for row in X]
-        _add_columns(rows, entries)
-        assert ExactMatrix(rows) == ExactMatrix(X) @ unit_plus(size, entries)
-    values = [Fraction(data.draw(_units)) for _ in range(n)]
-    rows = [list(row) for row in X]
-    _symplectic_step(rows, n, _TorusDraws(values))
-    torus = dense_diagonal(values + [1 / v for v in reversed(values)])
-    assert ExactMatrix(rows) == ExactMatrix(X) @ torus
+        rows, dens = [list(row) for row in num], list(q)
+        _root_step(rows, dens, entries)
+        assert all(isinstance(d, int) and d > 0 for d in dens)
+        assert _point(rows, dens) == X @ unit_plus(size, entries)
+    values = [data.draw(_units) for _ in range(n)]
+    rows, dens = [list(row) for row in num], list(q)
+    _torus_step(rows, dens, values)
+    torus = dense_diagonal(values + [Fraction(1, v) for v in reversed(values)])
+    assert _point(rows, dens) == X @ torus
     left = [Fraction(data.draw(_units), data.draw(st.integers(1, 3)))
             for _ in range(size)]
     right = [Fraction(data.draw(_units), data.draw(st.integers(1, 3)))
              for _ in range(size)]
-    dense = dense_diagonal([1 / v for v in left]) @ ExactMatrix(X) @ \
-        dense_diagonal(right)
-    assert _scaled(ExactMatrix(X), left, right) == dense
+    dense = dense_diagonal([1 / v for v in left]) @ X @ dense_diagonal(right)
+    assert _scaled(X, left, right) == dense
 
 
 # sha256 prefixes of the sampled points for _GOLDEN_SEEDS at n = 2, 3, 4, 5.
@@ -349,10 +346,57 @@ def test_independence_examples():
     assert verify_independence((1,), (1, 1), 2, seed=0)
     cert = independence_certificate((1,), (1, 1), 2, seed=0)
     assert cert["ok"] and cert["rank"] == 2
+    assert cert["blocks"] == [[-1, 1, 1], [1, 1, 1]] and cert["points"] == 3
     trivial = independence_certificate((), (), 2, seed=1)
     assert trivial["ok"] and trivial["monomials"] == 1 and trivial["rank"] == 1
     big = independence_certificate((4, 3, 1), (5, 4, 3, 2), 4, seed=2)
     assert big["ok"] and big["rank"] == 16
+    assert sum(size for _, size, _ in big["blocks"]) == 16
+    assert big["points"] == max(size for _, size, _ in big["blocks"]) + 2
+    assert "witness" not in big
+    empty = independence_certificate((3,), (1,), 2)
+    assert empty["ok"] and empty["monomials"] == 0
+    assert empty["points"] == 0 and empty["blocks"] == []
+
+
+_WEIGHT_PAIRS = {2: [((1,), (1, 1)), ((1,), (2, 1)), ((3,), (5, 2))],
+                 3: [((2, 1), (3, 2, 1)), ((1,), (2, 1))],
+                 4: [((3, 2, 1), (4, 3, 2, 1)), ((2, 1), (2, 2, 1))]}
+
+
+def test_chains_scale_by_their_natural_weight():
+    # The weight-block certificate rests on this: X tau_s, with tau_s =
+    # diag(1, .., s, 1/s, .., 1) at coordinates n and n+1, is symplectic, and
+    # every standard monomial scales by s^natural_sl2_weight there.
+    s = Fraction(2, 3)
+    for n, pairs in _WEIGHT_PAIRS.items():
+        ones = [Fraction(1)] * (2 * n)
+        tau = ones[:n - 1] + [s, 1 / s] + ones[n + 1:]
+        for seed, (d, f) in enumerate(pairs):
+            X = random_symplectic(n, seed)
+            moved = _scaled(X, ones, tau)
+            assert is_symplectic(moved)
+            monos = enumerate_standard(d, f, n)
+            assert len({natural_sl2_weight(m) for m in monos}) > 1
+            for m in monos:
+                assert eval_monomial(m.columns, moved) == \
+                    s ** natural_sl2_weight(m) * eval_monomial(m.columns, X)
+
+
+def test_independence_failure_names_pair_and_short_blocks(monkeypatch):
+    # Every chain of this pair vanishes at the identity, so with the identity
+    # as every point each block falls short, and the witness must say which
+    # pair and which blocks, and replay from its seed.
+    monkeypatch.setattr(exacteval, "random_symplectic",
+                        lambda n, seed: ExactMatrix.identity(2 * n))
+    report = independence_suite(2, 0, 1, d=(1,), f=(2, 1))
+    assert len(report["failures"]) == 1
+    witness = report["failures"][0]["witness"]
+    assert witness["D"] == [1] and witness["F"] == [2, 1]
+    assert witness["rank"] == 0 and witness["needed"] == 4
+    assert witness["blocks"] == [[-2, 1, 0], [0, 2, 0], [2, 1, 0]]
+    replay = independence_certificate((1,), (2, 1), 2, witness["seed"], 1)
+    assert replay["witness"] == witness
 
 
 def test_suites_pass_and_report_shape():
@@ -361,7 +405,6 @@ def test_suites_pass_and_report_shape():
         report = suite(3, 0, 5, **kwargs)
         assert report["failures"] == []
         assert set(report) >= {"op", "params", "trials", "failures"}
-    from sympbranch.exacteval import independence_suite
     report = independence_suite(2, 0, 2)
     assert report["failures"] == []
     assert report["params"]["pairs"] == len(report["checked"]) > 0
