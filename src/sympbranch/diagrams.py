@@ -50,6 +50,15 @@ def _check_pair(d: Diagram, f: Diagram, n: int):
         raise ValueError(f"diagram {f} has more than n = {n} rows")
 
 
+def check_triple(d: Diagram, e: Diagram, f: Diagram, n: int):
+    """Reject normalized (d, e, f) unless it is doubly interlacing at rank n."""
+    _check_pair(d, f, n)
+    if len(e) > n:
+        raise ValueError(f"middle diagram {e} has more than n = {n} rows")
+    if not (interlaces(d, e) and interlaces(e, f)):
+        raise ValueError(f"({d}, {e}, {f}) is not doubly interlacing")
+
+
 def multiplicity_nonzero(d, f) -> bool:
     """The two-row gap condition f_j >= d_j >= f_{j+2} (f beyond length is 0)."""
     d, f = normalize(d), normalize(f)
@@ -136,10 +145,6 @@ def tensor_factors(d, f, n: int) -> tuple[int, ...]:
 def tl_weight(d, e, f, n: int) -> tuple[int, ...]:
     """Torus exponent vector (2 e_i - x_i - y_i) of a doubly interlacing triple."""
     d, e, f = normalize(d), normalize(e), normalize(f)
-    _check_pair(d, f, n)
-    if len(e) > n:
-        raise ValueError(f"middle diagram {e} has more than n = {n} rows")
-    if not (interlaces(d, e) and interlaces(e, f)):
-        raise ValueError(f"({d}, {e}, {f}) is not doubly interlacing")
+    check_triple(d, e, f, n)
     ms = _sorted_margin(d, f, n)
     return tuple(2 * part(e, i + 1) - ms[2 * i] - ms[2 * i + 1] for i in range(n))

@@ -1,12 +1,14 @@
 """Exact evaluation of the minor generators and randomized identity checks.
 
-Everything here is rational arithmetic on small matrices: generators are
-evaluated as determinants of top-left minors, and ranks are certified by
-fraction-free elimination over the integers.  Group elements act without
-building their factors (so sampled ones are exactly symplectic): a square-zero
-root exponential 1 + c E_ij adds c times column i to column j, and a torus
-element scales columns, or rows and columns when it acts on both sides.
-Points are sampled in integers over one denominator per column, then wrapped.
+Everything here is rational arithmetic on small matrices.  Generators are
+top-left minors, and minors and ranks both come from one fraction-free
+(Bareiss) elimination over the integers.  Group elements act without building
+their factors (so sampled ones are exactly symplectic): a square-zero root
+exponential 1 + c E_ij adds c times column i to column j, and a torus element
+scales columns, or rows and columns when it acts on both sides.  Points are
+sampled in integers over one denominator per column, then wrapped.  A check
+builds its moved point once per trial and compares one generator table there
+with one at X.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ class ExactMatrix:
 
     def __init__(self, rows):
         self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        size = len(self.rows)
-        if any(len(row) != size for row in self.rows):
+        if any(len(row) != len(self.rows) for row in self.rows):
             raise ValueError("matrix must be square")
 
     @classmethod
@@ -66,42 +67,27 @@ def _identity_rows(size: int) -> list[list[int]]:
     return [[int(i == j) for j in range(size)] for i in range(size)]
 
 
-def det(rows) -> Fraction:
-    """Determinant by exact Gaussian elimination."""
-    m = [list(map(Fraction, row)) for row in rows]
-    size = len(m)
-    result = _ONE
-    for c in range(size):
-        pivot = next((r for r in range(c, size) if m[r][c]), None)
-        if pivot is None:
-            return _ZERO
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            result = -result
-        result *= m[c][c]
-        for r in range(c + 1, size):
-            if m[r][c]:
-                factor = m[r][c] / m[c][c]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[c])]
-    return result
-
-
-def exact_rank(rows) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    work = []
+def _bareiss(rows) -> tuple[int, int, int]:
+    """Fraction-free elimination of the rows scaled to integers: (rank, last
+    pivot signed by the row swaps, product of the row scales).  At full rank
+    on a square input that pivot is the determinant of the integer rows."""
+    work, scale = [], 1
     for row in rows:
         row = [Fraction(x) for x in row]
-        scale = math.lcm(*(x.denominator for x in row)) if row else 1
-        work.append([int(x * scale) for x in row])
-    if not work:
-        return 0
-    n_rows, n_cols = len(work), len(work[0])
-    rank, prev = 0, 1
+        if work and len(row) != len(work[0]):
+            raise ValueError("rows must have equal length")
+        s = math.lcm(*(x.denominator for x in row)) if row else 1
+        work.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    n_rows, n_cols = len(work), len(work[0]) if work else 0
+    rank, prev, sign = 0, 1, 1
     for c in range(n_cols):
         pivot = next((r for r in range(rank, n_rows) if work[r][c]), None)
         if pivot is None:
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
+        if pivot != rank:
+            work[rank], work[pivot] = work[pivot], work[rank]
+            sign = -sign
         for r in range(rank + 1, n_rows):
             for j in range(c + 1, n_cols):
                 num = work[r][j] * work[rank][c] - work[r][c] * work[rank][j]
@@ -109,10 +95,23 @@ def exact_rank(rows) -> int:
                 if rem:
                     raise ArithmeticError("fraction-free step is not exact")
                 work[r][j] = quot
-            work[r][c] = 0
         prev = work[rank][c]
         rank += 1
-    return rank
+    return rank, sign * prev, scale
+
+
+def det(rows) -> Fraction:
+    """Determinant of a square matrix: the signed last Bareiss pivot over
+    the product of the row scales, or 0 below full rank."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("determinant needs a square matrix")
+    rank, pivot, scale = _bareiss(rows)
+    return Fraction(pivot, scale) if rank == len(rows) else _ZERO
+
+
+def exact_rank(rows) -> int:
+    """Rank over the rationals by fraction-free (Bareiss) elimination."""
+    return _bareiss(rows)[0]
 
 
 # --- generator evaluation ----------------------------------------------------
@@ -122,15 +121,11 @@ def delta(c: ColumnIndex, X: ExactMatrix) -> Fraction:
     if X.size != 2 * c.n:
         raise ValueError(f"matrix size {X.size} does not match rank {c.n}")
     cset = c.column_set()
-    depth = len(cset)
-    return det([[X.rows[i][j - 1] for j in cset] for i in range(depth)])
+    return det([[X.rows[i][j - 1] for j in cset] for i in range(len(cset))])
 
 
 def eval_monomial(mono, X: ExactMatrix) -> Fraction:
-    value = _ONE
-    for c in mono:
-        value *= delta(c, X)
-    return value
+    return math.prod((delta(c, X) for c in mono), start=_ONE)
 
 
 def eval_poly(p: FormalPolynomial, X: ExactMatrix) -> Fraction:
@@ -170,8 +165,7 @@ class TorusElement:
     s: tuple[Fraction, ...]
 
     def __post_init__(self):
-        t = tuple(Fraction(v) for v in self.t)
-        s = tuple(Fraction(v) for v in self.s)
+        t, s = tuple(map(Fraction, self.t)), tuple(map(Fraction, self.s))
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "s", s)
         if len(t) < 2 or len(s) != len(t) - 1:
@@ -268,13 +262,11 @@ def embed_subgroup(M: ExactMatrix, n: int) -> ExactMatrix:
     if M.size != 2 * m:
         raise ValueError(f"expected a {2 * m}x{2 * m} matrix")
 
-    def spread(i):
-        return i if i < m else i + 2
-
+    spread = [i if i < m else i + 2 for i in range(2 * m)]
     rows = _identity_rows(2 * n)
-    for i in range(2 * m):
-        for j in range(2 * m):
-            rows[spread(i)][spread(j)] = M.rows[i][j]
+    for i, row in zip(spread, M.rows):
+        for j, x in zip(spread, row):
+            rows[i][j] = x
     return ExactMatrix(rows)
 
 
@@ -314,14 +306,13 @@ def random_rational_matrix(n: int, seed: int) -> ExactMatrix:
                          for _ in range(2 * n)] for _ in range(2 * n)])
 
 
+def _unit_fractions(rng: random.Random, k: int) -> list[Fraction]:
+    return [Fraction(rng.choice(_UNITS), rng.randint(1, 3)) for _ in range(k)]
+
+
 def random_torus_element(n: int, seed: int) -> TorusElement:
-    rng = random.Random(seed)
-
-    def value():
-        return Fraction(rng.choice(_UNITS), rng.randint(1, 3))
-
-    return TorusElement(tuple(value() for _ in range(n)),
-                        tuple(value() for _ in range(n - 1)))
+    values = _unit_fractions(random.Random(seed), 2 * n - 1)
+    return TorusElement(tuple(values[:n]), tuple(values[n:]))
 
 
 # --- verification ------------------------------------------------------------
@@ -336,13 +327,17 @@ def verify_straightening_identity(X: ExactMatrix) -> bool:
     def val(kind, idx):
         return table[ColumnIndex(kind, idx, n)]
 
-    for i in range(1, n):
-        lhs = (val("I", i) * val("K", i - 1)
-               - val("Jp", i) * val("J", i - 1)
-               + val("J", i) * val("Jp", i - 1))
-        if lhs:
-            return False
-    return True
+    return not any(val("I", i) * val("K", i - 1) - val("Jp", i) * val("J", i - 1)
+                   + val("J", i) * val("Jp", i - 1) for i in range(1, n))
+
+
+def _moved_misses(targets, X, moved, character) -> list[StandardMonomial]:
+    """The chains among ``targets`` whose value at ``moved`` is not
+    character(chain) times their value at X, from one table at each point."""
+    n = X.size // 2
+    before, after = delta_table(n, X), delta_table(n, moved)
+    return [m for m in targets if math.prod(after[c] for c in m.columns)
+            != character(m) * math.prod(before[c] for c in m.columns)]
 
 
 def verify_invariance(monos, seed: int) -> list[StandardMonomial]:
@@ -357,9 +352,7 @@ def verify_invariance(monos, seed: int) -> list[StandardMonomial]:
     u = random_unipotent(n, "lower", rng.getrandbits(64))
     v = random_unipotent(n, "upper_embedded", rng.getrandbits(64))
     X = random_symplectic(n, rng.getrandbits(64))
-    before, after = delta_table(n, X), delta_table(n, u @ X @ v)
-    return [m for m in monos if math.prod(after[c] for c in m.columns)
-            != math.prod(before[c] for c in m.columns)]
+    return _moved_misses(monos, X, u @ X @ v, lambda m: 1)
 
 
 def _scaled(X: ExactMatrix, left, right) -> ExactMatrix:
@@ -368,38 +361,44 @@ def _scaled(X: ExactMatrix, left, right) -> ExactMatrix:
                         for row, lv in zip(X.rows, left)])
 
 
-def verify_torus_weight(m: StandardMonomial, t: TorusElement,
-                        X: ExactMatrix) -> bool:
-    """Chains scale by the shape character under the two torus actions."""
-    if t.n != m.n:
-        raise ValueError(f"rank mismatch: {t.n} vs {m.n}")
-    d, _, f = monomial_triple(m.columns)
-    character = _ONE
-    for i, tv in enumerate(t.t, start=1):
-        character *= tv ** (-diagrams.part(f, i))
-    for k, sv in enumerate(t.s, start=1):
-        character *= sv ** diagrams.part(d, k)
+def verify_torus_weight(monos, t: TorusElement,
+                        X: ExactMatrix) -> list[StandardMonomial]:
+    """The chains among ``monos`` that do not scale by their shape character
+    under the two torus actions at X; an empty list certifies the instance."""
+    if any(m.n != t.n for m in monos):
+        raise ValueError(f"rank mismatch: torus rank {t.n}")
+
+    def character(m):
+        d, _, f = monomial_triple(m.columns)
+        return (math.prod(tv ** -diagrams.part(f, i)
+                          for i, tv in enumerate(t.t, start=1))
+                * math.prod(sv ** diagrams.part(d, k)
+                            for k, sv in enumerate(t.s, start=1)))
+
     moved = _scaled(X, t.t + tuple(1 / v for v in reversed(t.t)),
                     t.s + (_ONE, _ONE) + tuple(1 / v for v in reversed(t.s)))
-    return eval_monomial(m.columns, moved) == character * eval_monomial(m.columns, X)
+    return _moved_misses(monos, X, moved, character)
 
 
-def verify_generator_weight(c: ColumnIndex, tdiag, sdiag, X: ExactMatrix) -> bool:
-    """Single generators are weight vectors for the full diagonal actions:
-    rows 1..r contribute inverse left entries, columns contribute right ones."""
-    tdiag = [Fraction(v) for v in tdiag]
-    sdiag = [Fraction(v) for v in sdiag]
+def verify_generator_weight(tdiag, sdiag, X: ExactMatrix) -> list[ColumnIndex]:
+    """The generators that are not weight vectors for the full diagonal
+    actions at X: rows 1..r contribute inverse left entries, columns
+    contribute right ones.  An empty list certifies the instance."""
+    tdiag, sdiag = list(map(Fraction, tdiag)), list(map(Fraction, sdiag))
     if len(tdiag) != X.size or len(sdiag) != X.size:
         raise ValueError("diagonal length must match the matrix size")
     if any(v == 0 for v in tdiag + sdiag):
         raise ValueError("diagonal entries must be nonzero")
-    cset = c.column_set()
-    character = _ONE
-    for i in range(len(cset)):
-        character /= tdiag[i]
-    for j in cset:
-        character *= sdiag[j - 1]
-    return delta(c, _scaled(X, tdiag, sdiag)) == character * delta(c, X)
+
+    def character(m):
+        cset = m.columns[0].column_set()
+        return (math.prod(sdiag[j - 1] for j in cset)
+                / math.prod(tdiag[:len(cset)]))
+
+    n = X.size // 2
+    gens = [StandardMonomial((c,), n) for c in elements(n)]
+    misses = _moved_misses(gens, X, _scaled(X, tdiag, sdiag), character)
+    return [m.columns[0] for m in misses]
 
 
 def independence_certificate(d, f, n: int, seed: int = 0, trials: int = 3) -> dict:
@@ -447,10 +446,6 @@ def independence_certificate(d, f, n: int, seed: int = 0, trials: int = 3) -> di
     return cert
 
 
-def verify_independence(d, f, n: int, seed: int = 0, trials: int = 3) -> bool:
-    return independence_certificate(d, f, n, seed, trials)["ok"]
-
-
 # --- seeded suites -----------------------------------------------------------
 
 def relations_suite(n: int, seed: int, trials: int) -> dict:
@@ -465,12 +460,16 @@ def relations_suite(n: int, seed: int, trials: int) -> dict:
             "trials": trials, "failures": failures}
 
 
+def _suite_targets(n: int) -> list[StandardMonomial]:
+    """Every generator as a one-column chain, and one chain of all kinds."""
+    return [StandardMonomial((c,), n) for c in elements(n)] + [sample_chain(n)]
+
+
 def invariance_suite(n: int, seed: int, trials: int) -> dict:
     rng = random.Random(seed)
-    targets = [StandardMonomial((c,), n) for c in elements(n)]
-    targets.append(sample_chain(n))
+    targets = _suite_targets(n)
     failures = []
-    for trial in range(trials):
+    for _ in range(trials):
         trial_seed = rng.getrandbits(64)
         failures += [{"seed": trial_seed, "witness": {"monomial": m.tokens()}}
                      for m in verify_invariance(targets, trial_seed)]
@@ -480,31 +479,22 @@ def invariance_suite(n: int, seed: int, trials: int) -> dict:
 
 def torus_suite(n: int, seed: int, trials: int) -> dict:
     rng = random.Random(seed)
-    chains = [StandardMonomial((c,), n) for c in elements(n)]
-    chains.append(sample_chain(n))
+    targets = _suite_targets(n)
     failures = []
     for _ in range(trials):
         trial_seed = rng.getrandbits(64)
         sub = random.Random(trial_seed)
         t = random_torus_element(n, sub.getrandbits(64))
         X = random_rational_matrix(n, sub.getrandbits(64))
-        for m in chains:
-            if not verify_torus_weight(m, t, X):
-                failures.append({"seed": trial_seed,
-                                 "witness": {"monomial": m.tokens(),
-                                             "check": "shape-character"}})
         diag_rng = random.Random(sub.getrandbits(64))
-
-        def diag():
-            return [Fraction(diag_rng.choice(_UNITS),
-                             diag_rng.randint(1, 3)) for _ in range(2 * n)]
-
-        tdiag, sdiag = diag(), diag()
-        for c in elements(n):
-            if not verify_generator_weight(c, tdiag, sdiag, X):
-                failures.append({"seed": trial_seed,
-                                 "witness": {"generator": c.token(),
-                                             "check": "diagonal-weight"}})
+        tdiag = _unit_fractions(diag_rng, 2 * n)
+        sdiag = _unit_fractions(diag_rng, 2 * n)
+        failures += [{"seed": trial_seed, "witness": {
+                          "monomial": m.tokens(), "check": "shape-character"}}
+                     for m in verify_torus_weight(targets, t, X)]
+        failures += [{"seed": trial_seed, "witness": {
+                          "generator": c.token(), "check": "diagonal-weight"}}
+                     for c in verify_generator_weight(tdiag, sdiag, X)]
     return {"op": "torus", "params": {"n": n, "seed": seed},
             "trials": trials, "failures": failures}
 
@@ -521,14 +511,14 @@ def independence_suite(n: int, seed: int, trials: int,
                  for ff in _diagrams_up_to(max_part, n)
                  if diagrams.multiplicity_nonzero(dd, ff)]
     rng = random.Random(seed)
-    failures = []
-    checked = []
+    failures, checked = [], []
     for dd, ff in pairs:
-        cert = independence_certificate(dd, ff, n, rng.getrandbits(64), trials)
+        cert_seed = rng.getrandbits(64)
+        cert = independence_certificate(dd, ff, n, cert_seed, trials)
         checked.append({"D": list(dd), "F": list(ff), "rank": cert["rank"],
                         "monomials": cert["monomials"]})
         if not cert["ok"]:
-            failures.append({"seed": seed, "witness": cert["witness"]})
+            failures.append({"seed": cert_seed, "witness": cert["witness"]})
     return {"op": "independence",
             "params": {"n": n, "seed": seed, "pairs": len(pairs),
                        "max_part": None if d is not None else max_part},
@@ -536,8 +526,7 @@ def independence_suite(n: int, seed: int, trials: int,
 
 
 def _diagrams_up_to(max_part: int, max_len: int):
-    out = [()]
-    frontier = [()]
+    out, frontier = [()], [()]
     for _ in range(max_len):
         frontier = [d + (p,) for d in frontier
                     for p in range(1, (d[-1] if d else max_part) + 1)]

@@ -117,11 +117,7 @@ def from_triple(d, e, f, n: int) -> StandardMonomial:
     (f'_c, e'_c, d'_c).  Inverse to ``monomial_triple`` on chains.
     """
     d, e, f = normalize(d), normalize(e), normalize(f)
-    diagrams._check_pair(d, f, n)
-    if len(e) > n:
-        raise ValueError(f"middle diagram {e} has more than n = {n} rows")
-    if not (diagrams.interlaces(d, e) and diagrams.interlaces(e, f)):
-        raise ValueError(f"({d}, {e}, {f}) is not doubly interlacing")
+    diagrams.check_triple(d, e, f, n)
     dt, et, ft = transpose(d), transpose(e), transpose(f)
     cols = tuple(from_ones((part(ft, c), part(et, c), part(dt, c)), n)
                  for c in range(1, part(f, 1) + 1))

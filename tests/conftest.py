@@ -3,7 +3,7 @@
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import settings
@@ -85,6 +85,19 @@ def dense_diagonal(entries):
     return ExactMatrix([[Fraction(e) if i == j else Fraction(0)
                          for j in range(len(entries))]
                         for i, e in enumerate(entries)])
+
+
+def leibniz_det(rows):
+    """Determinant as the sum over permutations p of sign(p) * prod a_{i,p(i)},
+    the sign read off the inversion count."""
+    total = Fraction(0)
+    for perm in permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
 
 
 def incomparable_pair_count(mono):

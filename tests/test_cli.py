@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -217,3 +218,61 @@ def test_byte_identical_output(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# Fixed argv lists and the sha256 prefix of (exit code, stdout) for each, so
+# any change to what the CLI prints for them fails here.  Every verify run
+# names its seed, so SYMPBRANCH_SEED does not reach these.
+_GOLDEN_ARGV = [
+    ("mult", "4,3,1", "5,4,3,2", "--n", "4"),
+    ("mult", "4,3,1", "5,4,3,2", "--n", "4", "--list"),
+    ("mult", "2,1", "3,2,1", "--n", "3", "--list", "--json"),
+    ("mult", "", "", "--n", "2", "--json"),
+    ("mult", "3", "1,1", "--n", "2"),
+    ("basis", "4,3,1", "5,4,3,2", "--n", "4"),
+    ("basis", "2,1", "3,2,1", "--n", "3", "--json"),
+    ("basis", "", "", "--n", "3"),
+    ("degenerate", "3,2", "3,3,2,1", "--n", "4"),
+    ("degenerate", "2,1", "3,2,1", "--n", "3", "--json"),
+    ("straighten", "[I1,K0]", "--n", "2"),
+    ("straighten", "[I1,K0]", "--n", "2", "--hibi"),
+    ("straighten", "2*[I2,K1,I1,K0] - 3/2*[J0]", "--n", "3", "--json"),
+    ("straighten", "[I2,K1,I1,K0]", "--n", "3", "--hibi", "--json"),
+    ("straighten", "--n", "2", "--", "-[I1,K0]"),
+    ("verify", "relations", "--n", "2", "--trials", "3", "--seed", "1"),
+    ("verify", "relations", "--n", "3", "--trials", "2", "--seed", "7", "--json"),
+    ("verify", "invariance", "--n", "2", "--trials", "2", "--seed", "1"),
+    ("verify", "invariance", "--n", "3", "--trials", "2", "--seed", "7", "--json"),
+    ("verify", "torus", "--n", "2", "--trials", "3", "--seed", "1"),
+    ("verify", "torus", "--n", "3", "--trials", "2", "--seed", "7", "--json"),
+    ("verify", "torus", "--n", "4", "--trials", "1", "--seed", "101", "--json"),
+    ("verify", "independence", "--n", "2", "--trials", "2", "--seed", "1"),
+    ("verify", "independence", "--n", "3", "--trials", "1", "--seed", "7", "--json"),
+    ("verify", "independence", "--n", "2", "--trials", "3", "--D", "1",
+     "--F", "2,1", "--json"),
+    ("verify", "all", "--n", "2", "--trials", "2", "--seed", "5", "--json"),
+    ("verify", "all", "--n", "2", "--trials", "1", "--seed", "3"),
+    ("mult", "oops", "1", "--n", "2"),
+    ("straighten", "[I1,K0", "--n", "2"),
+    ("verify", "relations", "--n", "2", "--trials", "0"),
+]
+_GOLDEN_DIGESTS = [
+    "ba9c89fbad49bc1a", "f1ca12956cc2513f", "5e08ce23ba1f0202",
+    "6a54764578de0763", "70ce72205dc50966", "d1f120627a5290d1",
+    "4ba8efd91e6179c3", "5666eccdf865173a", "167516e4bf386e0b",
+    "91ee9d65eabde3f0", "b22feefc546a327a", "ef3fa1c218144d03",
+    "43d64d92ca079177", "eba9cbd579980c60", "1f8220128e1e44f3",
+    "85941add60b83a05", "f0daa20dadf65348", "5cfe693916ab3b65",
+    "77b233960dbc31af", "e0fa006f86ee04ee", "e9cc99e9fa4e829e",
+    "b60b0b2bc654143c", "1641ea1853c80148", "937ba7dd982f6cd8",
+    "6ee9a51b66c76e7b", "a38ca80de576bc38", "a5c130077bff7caa",
+    "53c234e5e8472b6a", "53c234e5e8472b6a", "53c234e5e8472b6a",
+]
+
+
+def test_golden_output_digests(capsys):
+    digests = []
+    for argv in _GOLDEN_ARGV:
+        code, out, _ = run(capsys, *argv)
+        digests.append(hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()[:16])
+    assert digests == _GOLDEN_DIGESTS

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_diagonal, unit_plus
+from conftest import dense_diagonal, leibniz_det, unit_plus
 from sympbranch import exacteval
 from sympbranch.exacteval import (
     ExactMatrix,
@@ -36,7 +36,6 @@ from sympbranch.exacteval import (
     symplectic_form,
     torus_suite,
     verify_generator_weight,
-    verify_independence,
     verify_invariance,
     verify_straightening_identity,
     verify_torus_weight,
@@ -65,6 +64,9 @@ def test_det_values():
         a = random_rational_matrix(2, rng.getrandbits(64))
         b = random_rational_matrix(2, rng.getrandbits(64))
         assert det((a @ b).rows) == det(a.rows) * det(b.rows)
+    for bad in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1]] * 2):
+        with pytest.raises(ValueError):
+            det(bad)
 
 
 def _rank_oracle(rows):
@@ -96,6 +98,32 @@ def test_exact_rank():
         if rng.randrange(2) and len(rows) > 1:
             rows[-1] = [2 * v for v in rows[0]]  # force a dependency
         assert exact_rank(rows) == _rank_oracle(rows)
+    assert exact_rank([[1, 2, 3], [4, 5, 6]]) == 2
+    with pytest.raises(ValueError):
+        exact_rank([[1, 2], [3]])
+
+
+_entries = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_elimination_matches_leibniz_and_rank_oracles(data):
+    # det and exact_rank share one fraction-free elimination.  Zeroing the
+    # first column of the top rows forces a row swap, and a row replaced by
+    # a multiple of another makes the matrix singular.
+    size = data.draw(st.integers(0, 5))
+    rows = data.draw(st.lists(st.lists(_entries, min_size=size, max_size=size),
+                              min_size=size, max_size=size))
+    for r in range(data.draw(st.integers(0, size))):
+        rows[r][0] = Fraction(0)
+    if size >= 2 and data.draw(st.booleans()):
+        source = rows[data.draw(st.integers(0, size - 2))]
+        factor = data.draw(_entries)
+        rows[-1] = [factor * v for v in source]
+    assert det(rows) == leibniz_det(rows)
+    for cut in range(size + 1):
+        assert exact_rank(rows[:cut]) == _rank_oracle(rows[:cut])
 
 
 def test_delta_examples():
@@ -310,13 +338,50 @@ def test_torus_weight_examples():
         dense_diagonal(right)
     assert eval_monomial(m.columns, moved) == \
         Fraction(1, 4) * eval_monomial(m.columns, X)
-    assert verify_torus_weight(m, t, X)
+    assert verify_torus_weight([m], t, X) == []
+    targets = [StandardMonomial((c,), n) for c in elements(n)] + [sample_chain(n)]
     for seed in range(10):
         tt = random_torus_element(n, seed)
         XX = random_rational_matrix(n, seed + 100)
-        assert verify_torus_weight(sample_chain(n), tt, XX)
-        for c in elements(n):
-            assert verify_torus_weight(StandardMonomial((c,), n), tt, XX)
+        assert verify_torus_weight(targets, tt, XX) == []
+    with pytest.raises(ValueError):
+        verify_torus_weight([m], random_torus_element(2, 0), X)
+
+
+def test_torus_checks_list_exactly_the_moved_targets(monkeypatch):
+    # With the moved point patched to X itself, a target misses its character
+    # exactly when that character is not 1 (every target is nonzero at X).
+    monkeypatch.setattr(exacteval, "_scaled", lambda X, left, right: X)
+    report = torus_suite(2, 0, 1)
+    assert {f["witness"]["check"] for f in report["failures"]} == \
+        {"shape-character", "diagonal-weight"}
+    n = 2
+    X = random_rational_matrix(n, 3)
+    targets = [StandardMonomial((c,), n) for c in elements(n)] + [sample_chain(n)]
+    assert all(eval_monomial(m.columns, X) for m in targets)
+    chain = sample_chain(n).tokens()
+    # t^-F * s^D: (1, 3) weighs columns with two entries, s = 5 the entry 1
+    for t, missed in ((TorusElement((1, 3), (1,)), [["J1"], ["J'1"], ["K0"], chain]),
+                      (TorusElement((1, 1), (5,)), [["J1"], ["J'1"], ["I1"], chain])):
+        assert [m.tokens() for m in verify_torus_weight(targets, t, X)] == missed
+    ones = [1] * (2 * n)
+    # sdiag weighs generators holding column 2, tdiag those of depth two
+    assert [c.token() for c in verify_generator_weight(ones, [1, 2, 1, 1], X)] == \
+        ["J1", "K0", "J0"]
+    assert [c.token() for c in verify_generator_weight([1, 3, 1, 1], ones, X)] == \
+        ["J1", "J'1", "K0"]
+
+
+def test_torus_suite_moves_each_point_once(monkeypatch):
+    calls = []
+
+    def counting(X, left, right):
+        calls.append(X.size)
+        return _scaled(X, left, right)
+
+    monkeypatch.setattr(exacteval, "_scaled", counting)
+    assert torus_suite(3, 0, 4)["failures"] == []
+    assert calls == [6] * 2 * 4
 
 
 def test_torus_element_validation():
@@ -338,12 +403,10 @@ def test_generator_weights_for_full_diagonals():
                  for _ in range(2 * n)]
         sdiag = [Fraction(rng.choice((1, 2, 3, -1, -2, -3)), rng.randint(1, 3))
                  for _ in range(2 * n)]
-        for c in elements(n):
-            assert verify_generator_weight(c, tdiag, sdiag, X)
+        assert verify_generator_weight(tdiag, sdiag, X) == []
 
 
 def test_independence_examples():
-    assert verify_independence((1,), (1, 1), 2, seed=0)
     cert = independence_certificate((1,), (1, 1), 2, seed=0)
     assert cert["ok"] and cert["rank"] == 2
     assert cert["blocks"] == [[-1, 1, 1], [1, 1, 1]] and cert["points"] == 3
@@ -391,11 +454,13 @@ def test_independence_failure_names_pair_and_short_blocks(monkeypatch):
                         lambda n, seed: ExactMatrix.identity(2 * n))
     report = independence_suite(2, 0, 1, d=(1,), f=(2, 1))
     assert len(report["failures"]) == 1
-    witness = report["failures"][0]["witness"]
+    failure = report["failures"][0]
+    witness = failure["witness"]
     assert witness["D"] == [1] and witness["F"] == [2, 1]
     assert witness["rank"] == 0 and witness["needed"] == 4
     assert witness["blocks"] == [[-2, 1, 0], [0, 2, 0], [2, 1, 0]]
-    replay = independence_certificate((1,), (2, 1), 2, witness["seed"], 1)
+    assert failure["seed"] == witness["seed"]
+    replay = independence_certificate((1,), (2, 1), 2, failure["seed"], 1)
     assert replay["witness"] == witness
 
 
