@@ -6,7 +6,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 from sympbranch import diagrams, exacteval, hibi, monomials, straighten
 from sympbranch.diagrams import normalize, order_type_str
@@ -58,13 +58,13 @@ def _cmd_mult(args) -> int:
 def _cmd_basis(args) -> int:
     d, f = _parse_diagram(args.D), _parse_diagram(args.F)
     basis = monomials.enumerate_standard(d, f, args.n)
+    middles = diagrams.enumerate_middle(d, f, args.n)
+    word = order_type_str(diagrams.order_type_of(d, f, args.n))
     entries = []
     lines = [f"basis(D={_fmt_diagram(d)}, F={_fmt_diagram(f)}, n={args.n}): "
              f"{len(basis)} standard monomials"]
-    for k, m in enumerate(basis, start=1):
-        _, e, _ = monomials.monomial_triple(m.columns)
+    for k, (e, m) in enumerate(zip(middles, basis), start=1):
         weight = diagrams.tl_weight(d, e, f, args.n)
-        word = order_type_str(monomials.chain_order_type(m))
         tab = monomials.to_tableau(m)
         entries.append({"monomial": m.tokens(), "E": list(e),
                         "order_type": word, "tl_weight": list(weight),
@@ -130,18 +130,18 @@ def _cmd_verify(args) -> int:
 def _cmd_degenerate(args) -> int:
     d, f = _parse_diagram(args.D), _parse_diagram(args.F)
     basis = monomials.enumerate_standard(d, f, args.n)
-    margin = diagrams.multiplicity(d, f, args.n)
+    middles = diagrams.enumerate_middle(d, f, args.n)
     entries = []
     lines = [f"degenerate(D={_fmt_diagram(d)}, F={_fmt_diagram(f)}, n={args.n})"]
-    for k, m in enumerate(basis, start=1):
-        p = hibi.chain_to_pattern(m)
+    for k, (e, m) in enumerate(zip(middles, basis), start=1):
+        p = hibi.pattern_of_triple(d, e, f, args.n)
         entries.append({"monomial": m.tokens(), **p.to_json()})
         lines.append(f"#{k} {m}")
         lines += ["    " + row for row in hibi.pretty(p).splitlines()]
     payload = {"schema": SCHEMA, "command": "degenerate", "n": args.n,
                "D": list(d), "F": list(f), "count": len(basis),
-               "margin_count": margin, "patterns": entries}
-    lines.append(f"margin count = {margin} (basis size {len(basis)})")
+               "margin_count": len(middles), "patterns": entries}
+    lines.append(f"margin count = {len(middles)} (basis size {len(basis)})")
     _emit(payload, lines, args.json)
     return 0
 
@@ -202,9 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "seed", None) is None and args.command == "verify":
         args.seed = _default_seed()
     if getattr(args, "trials", 1) < 1:

@@ -1,7 +1,9 @@
-"""Young diagrams, interlacing, branching multiplicities and torus weights."""
+"""Young diagrams, interlacing, branching multiplicities and torus weights,
+each read off the middle ranges lo_i <= e_i <= hi_i of ``middle_ranges``."""
 
 from __future__ import annotations
 
+import math
 import operator
 from itertools import product
 
@@ -59,16 +61,11 @@ def check_triple(d: Diagram, e: Diagram, f: Diagram, n: int):
         raise ValueError(f"({d}, {e}, {f}) is not doubly interlacing")
 
 
-def multiplicity_nonzero(d, f) -> bool:
-    """The two-row gap condition f_j >= d_j >= f_{j+2} (f beyond length is 0)."""
+def middle_ranges(d, f, n: int) -> list[range]:
+    """The range lo_i..hi_i of each middle row e_i, i = 1..n, with
+    lo_i = max(f_{i+1}, d_i) and hi_i = min(f_i, d_{i-1}), d_0 unbounded."""
     d, f = normalize(d), normalize(f)
-    top = max(len(d), len(f))
-    return all(part(f, j) >= part(d, j) >= part(f, j + 2)
-               for j in range(1, top + 1))
-
-
-def _middle_ranges(d: Diagram, f: Diagram, n: int) -> list[range]:
-    # e_i is squeezed between both neighbours of d and f; d_0 is unbounded.
+    _check_pair(d, f, n)
     ranges = []
     for i in range(1, n + 1):
         lo = max(part(f, i + 1), part(d, i))
@@ -79,19 +76,12 @@ def _middle_ranges(d: Diagram, f: Diagram, n: int) -> list[range]:
 
 def multiplicity(d, f, n: int) -> int:
     """Number of diagrams E with d interlacing E and E interlacing f."""
-    d, f = normalize(d), normalize(f)
-    _check_pair(d, f, n)
-    count = 1
-    for r in _middle_ranges(d, f, n):
-        count *= len(r)
-    return count
+    return math.prod(map(len, middle_ranges(d, f, n)))
 
 
 def enumerate_middle(d, f, n: int) -> list[Diagram]:
     """All middle diagrams, lexicographically ascending."""
-    d, f = normalize(d), normalize(f)
-    _check_pair(d, f, n)
-    return [normalize(e) for e in product(*_middle_ranges(d, f, n))]
+    return [normalize(e) for e in product(*middle_ranges(d, f, n))]
 
 
 def order_type_of(d, f, n: int) -> tuple[str, ...]:
@@ -127,24 +117,17 @@ def parse_order_type(text: str) -> tuple[str, ...]:
     return tuple(word)
 
 
-def _sorted_margin(d: Diagram, f: Diagram, n: int) -> list[int]:
-    # d padded with d_n := 0 plus f padded to n parts, non-increasing.
-    values = [part(d, i) for i in range(1, n + 1)]
-    values += [part(f, i) for i in range(1, n + 1)]
-    return sorted(values, reverse=True)
-
-
 def tensor_factors(d, f, n: int) -> tuple[int, ...]:
-    """Gaps r_i = x_i - y_i of the sorted margin (x_1 >= y_1 >= ... >= y_n)."""
-    d, f = normalize(d), normalize(f)
-    _check_pair(d, f, n)
-    ms = _sorted_margin(d, f, n)
-    return tuple(ms[2 * i] - ms[2 * i + 1] for i in range(n))
+    """Tensor factors r_i = hi_i - lo_i of a pair of nonzero multiplicity."""
+    ranges = middle_ranges(d, f, n)
+    if not all(ranges):
+        raise ValueError(f"pair ({d}, {f}) has multiplicity 0 at rank {n}")
+    return tuple(len(r) - 1 for r in ranges)
 
 
 def tl_weight(d, e, f, n: int) -> tuple[int, ...]:
-    """Torus exponent vector (2 e_i - x_i - y_i) of a doubly interlacing triple."""
+    """Torus exponent vector (2 e_i - lo_i - hi_i) of a doubly interlacing triple."""
     d, e, f = normalize(d), normalize(e), normalize(f)
     check_triple(d, e, f, n)
-    ms = _sorted_margin(d, f, n)
-    return tuple(2 * part(e, i + 1) - ms[2 * i] - ms[2 * i + 1] for i in range(n))
+    return tuple(2 * part(e, i) - r.start - (r.stop - 1)
+                 for i, r in enumerate(middle_ranges(d, f, n), start=1))

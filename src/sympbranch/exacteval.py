@@ -509,7 +509,7 @@ def independence_suite(n: int, seed: int, trials: int,
         pairs = [(dd, ff)
                  for dd in _diagrams_up_to(max_part, n - 1)
                  for ff in _diagrams_up_to(max_part, n)
-                 if diagrams.multiplicity_nonzero(dd, ff)]
+                 if diagrams.multiplicity(dd, ff, n)]
     rng = random.Random(seed)
     failures, checked = [], []
     for dd, ff in pairs:

@@ -1,4 +1,6 @@
-"""Standard monomials: multichains in the lattice and their tableau avatars."""
+"""Standard monomials: multichains in the lattice and their tableau avatars.
+A chain of shape F/D is rest(D, F), its I and K columns, times
+J_{i-1}^(e_i - lo_i) J'_{i-1}^(hi_i - e_i) over the middle ranges."""
 
 from __future__ import annotations
 
@@ -6,8 +8,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from sympbranch import diagrams
-from sympbranch.diagrams import Diagram, EQ, GE, LE, normalize, part, transpose
-from sympbranch.lattice import ColumnIndex, from_ones
+from sympbranch.diagrams import Diagram, normalize, part, transpose
+from sympbranch.lattice import ColumnIndex
 
 
 @dataclass(frozen=True)
@@ -109,38 +111,37 @@ def _conjugate(counts) -> Diagram:
                  for k in range(1, counts[-1] + 1))
 
 
+def _chains(d, f, n: int, middles) -> list[StandardMonomial]:
+    """Chains of shape f/d for these middles, [] at multiplicity 0.  With d', f'
+    conjugate, rest has I_{d'_c} if f'_c = d'_c and K_{d'_c} if f'_c = d'_c + 2."""
+    ranges = diagrams.middle_ranges(d, f, n)
+    if not all(ranges):
+        return []
+    ft = transpose(f)
+    dt = transpose(d) + (0,) * len(ft)
+    rest = [ColumnIndex("I" if fc == dc else "K", dc, n)
+            for fc, dc in zip(ft, dt) if fc - dc != 1]
+    pairs = [(ColumnIndex("J", i, n), ColumnIndex("Jp", i, n)) for i in range(n)]
+    chains = []
+    for e in middles:
+        cols = list(rest)
+        for i, (r, (j, jp)) in enumerate(zip(ranges, pairs), start=1):
+            cols += [j] * (part(e, i) - r.start) + [jp] * (r.stop - 1 - part(e, i))
+        chains.append(StandardMonomial(tuple(cols), n))
+    return chains
+
+
 def from_triple(d, e, f, n: int) -> StandardMonomial:
     """The unique chain whose tableau has shape f, middle diagram e and base d.
-
-    Boxes of f/e are labeled n+1, boxes of e/d are labeled n, and the rest by
-    their row coordinate, so column c has the Birkhoff encoding
-    (f'_c, e'_c, d'_c).  Inverse to ``monomial_triple`` on chains.
-    """
+    Inverse to ``monomial_triple`` on chains."""
     d, e, f = normalize(d), normalize(e), normalize(f)
     diagrams.check_triple(d, e, f, n)
-    dt, et, ft = transpose(d), transpose(e), transpose(f)
-    cols = tuple(from_ones((part(ft, c), part(et, c), part(dt, c)), n)
-                 for c in range(1, part(f, 1) + 1))
-    return StandardMonomial(cols, n)
+    return _chains(d, f, n, [e])[0]
 
 
 def enumerate_standard(d, f, n: int) -> list[StandardMonomial]:
     """All chains of shape f/d, ordered like their middle diagrams."""
-    return [from_triple(d, e, f, n) for e in diagrams.enumerate_middle(d, f, n)]
-
-
-def chain_order_type(m: StandardMonomial) -> tuple[str, ...]:
-    """Position i reads GE if I_i occurs, LE if K_{i-1} occurs, EQ otherwise."""
-    present = {(c.kind, c.idx) for c in m.columns}
-    word = []
-    for i in range(1, m.n):
-        if ("I", i) in present:
-            word.append(GE)
-        elif ("K", i - 1) in present:
-            word.append(LE)
-        else:
-            word.append(EQ)
-    return tuple(word)
+    return _chains(d, f, n, diagrams.enumerate_middle(d, f, n))
 
 
 def natural_sl2_weight(m: StandardMonomial) -> int:

@@ -7,11 +7,13 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
-from sympbranch.diagrams import normalize, part, transpose
+from sympbranch.diagrams import (EQ, GE, LE, enumerate_middle, normalize, part,
+                                 transpose)
 from sympbranch.exacteval import ExactMatrix
 from sympbranch.hibi import PatternMap
-from sympbranch.lattice import ColumnIndex, comparable, elements
+from sympbranch.lattice import ColumnIndex, comparable, elements, from_ones
 from sympbranch.monomials import StandardMonomial, assemble_rows
 from sympbranch.straighten import FormalPolynomial, canonical_monomial
 
@@ -60,6 +62,81 @@ def all_diagrams(max_part, max_len):
     return [t for length in range(max_len + 1)
             for t in weakly_decreasing_tuples(max_part, length)
             if not t or t[-1] > 0]
+
+
+def multiplicity_nonzero(d, f) -> bool:
+    """The two-row gap condition f_j >= d_j >= f_{j+2} (f beyond length is 0)."""
+    d, f = normalize(d), normalize(f)
+    top = max(len(d), len(f))
+    return all(part(f, j) >= part(d, j) >= part(f, j + 2)
+               for j in range(1, top + 1))
+
+
+@st.composite
+def diagram_pairs(draw, max_n, max_part):
+    """(d, f, n) with 2 <= n <= max_n and parts <= max_part; half the draws
+    have any d, mostly of multiplicity 0, and half satisfy the gap condition."""
+    n = draw(st.integers(2, max_n))
+    f = normalize(sorted(draw(st.lists(st.integers(0, max_part), max_size=n)),
+                         reverse=True))
+    if draw(st.booleans()):
+        d = sorted(draw(st.lists(st.integers(0, max_part), max_size=n - 1)),
+                   reverse=True)
+    else:  # f_i >= d_i >= f_{i+2}: the multiplicity is positive
+        d = []
+        for i in range(1, n):
+            hi = min(part(f, i), d[-1]) if d else part(f, i)
+            d.append(draw(st.integers(part(f, i + 2), hi)))
+    return normalize(d), f, n
+
+
+def sorted_margin(d, f, n):
+    """d padded with d_n := 0 plus f padded to n parts, non-increasing:
+    x_1 >= y_1 >= x_2 >= ... >= y_n."""
+    values = [part(d, i) for i in range(1, n + 1)]
+    values += [part(f, i) for i in range(1, n + 1)]
+    return sorted(values, reverse=True)
+
+
+def margin_tensor_factors(d, f, n):
+    """Gaps r_i = x_i - y_i of the sorted margin (Wallach-Yacobi)."""
+    ms = sorted_margin(normalize(d), normalize(f), n)
+    return tuple(ms[2 * i] - ms[2 * i + 1] for i in range(n))
+
+
+def margin_tl_weight(d, e, f, n):
+    """Torus exponent vector (2 e_i - x_i - y_i) read off the sorted margin."""
+    ms = sorted_margin(normalize(d), normalize(f), n)
+    return tuple(2 * part(e, i + 1) - ms[2 * i] - ms[2 * i + 1] for i in range(n))
+
+
+def chain_order_type(m):
+    """Position i reads GE if I_i occurs, LE if K_{i-1} occurs, EQ otherwise."""
+    present = {(c.kind, c.idx) for c in m.columns}
+    word = []
+    for i in range(1, m.n):
+        if ("I", i) in present:
+            word.append(GE)
+        elif ("K", i - 1) in present:
+            word.append(LE)
+        else:
+            word.append(EQ)
+    return tuple(word)
+
+
+def standard_oracle(d, f, n):
+    """The chains of shape f/d rebuilt column by column for every middle
+    diagram e: column c is the element with Birkhoff encoding
+    (f'_c, e'_c, d'_c)."""
+    d, f = normalize(d), normalize(f)
+    dt, ft = transpose(d), transpose(f)
+    chains = []
+    for e in enumerate_middle(d, f, n):
+        et = transpose(e)
+        cols = tuple(from_ones((part(ft, c), part(et, c), part(dt, c)), n)
+                     for c in range(1, part(f, 1) + 1))
+        chains.append(StandardMonomial(cols, n))
+    return chains
 
 
 def count_patterns(d, f, n):

@@ -9,14 +9,19 @@ import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from conftest import all_diagrams, count_patterns
+from conftest import (
+    all_diagrams,
+    chain_order_type,
+    count_patterns,
+    margin_tensor_factors,
+    multiplicity_nonzero,
+)
 from sympbranch.diagrams import (
     EQ,
     GE,
     LE,
     enumerate_middle,
     multiplicity,
-    multiplicity_nonzero,
     satisfies,
     tensor_factors,
     tl_weight,
@@ -34,7 +39,6 @@ from sympbranch.hibi import chain_to_pattern, chi
 from sympbranch.lattice import ColumnIndex, column_from_set, elements
 from sympbranch.monomials import (
     StandardMonomial,
-    chain_order_type,
     enumerate_standard,
     from_triple,
     is_chain,
@@ -256,9 +260,12 @@ def test_criterion_9_tensor_dimension_consistency():
                     if multiplicity(d, f, n) != 0:
                         ok = False
                     continue
+                r = tensor_factors(d, f, n)
+                if r != margin_tensor_factors(d, f, n):
+                    ok = False
                 expected = 1
-                for r in tensor_factors(d, f, n):
-                    expected *= r + 1
+                for ri in r:
+                    expected *= ri + 1
                 if expected != multiplicity(d, f, n):
                     ok = False
     report("criterion 9: tensor factor product equals the multiplicity",

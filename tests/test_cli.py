@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from sympbranch import cli
 from sympbranch.cli import main
 
 
@@ -160,6 +161,21 @@ def test_verify_env_seed(capsys, monkeypatch):
                        "--trials", "2", "--json")
     assert code == 0
     assert json.loads(out)["seed"] == 99
+
+
+def test_main_builds_the_parser_at_most_once(capsys, monkeypatch):
+    calls = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
+    seeds = []
+    for env_seed in ("3", "5"):
+        monkeypatch.setenv("SYMPBRANCH_SEED", env_seed)
+        code, out, _ = run(capsys, "verify", "relations", "--n", "2",
+                           "--trials", "1", "--json")
+        assert code == 0
+        seeds.append(json.loads(out)["seed"])
+    assert len(calls) <= 1
+    assert seeds == [3, 5]
 
 
 def test_degenerate(capsys):

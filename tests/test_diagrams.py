@@ -3,7 +3,14 @@ from itertools import product
 
 import pytest
 
-from conftest import all_diagrams, brute_middles, interlace_oracle
+from conftest import (
+    all_diagrams,
+    brute_middles,
+    interlace_oracle,
+    margin_tensor_factors,
+    margin_tl_weight,
+    multiplicity_nonzero,
+)
 from sympbranch.diagrams import (
     EQ,
     GE,
@@ -11,7 +18,6 @@ from sympbranch.diagrams import (
     enumerate_middle,
     interlaces,
     multiplicity,
-    multiplicity_nonzero,
     normalize,
     order_type_of,
     order_type_str,
@@ -148,20 +154,28 @@ def test_order_type_closed_under_addition():
 
 def test_tensor_factors_examples():
     # sorted margin of ((4,3,1), (5,4,3,2)) is (5,4,4,3,3,2,1,0)
-    assert tensor_factors((4, 3, 1), (5, 4, 3, 2), 4) == (1, 1, 1, 1)
-    assert tensor_factors((2, 2), (2, 2), 3) == (0, 0, 0)
-    assert tensor_factors((), (), 2) == (0, 0)
+    for (d, f, n), r in ((((4, 3, 1), (5, 4, 3, 2), 4), (1, 1, 1, 1)),
+                         (((2, 2), (2, 2), 3), (0, 0, 0)),
+                         (((), (), 2), (0, 0))):
+        assert tensor_factors(d, f, n) == r == margin_tensor_factors(d, f, n)
+    with pytest.raises(ValueError, match=r"\(3,\), \(1, 1\)"):
+        tensor_factors((3,), (1, 1), 2)
 
 
 def test_tensor_factor_product_counts_multiplicity():
     for n in (2, 3, 4):
         for d in all_diagrams(4, n - 1):
             for f in all_diagrams(4, n):
-                if multiplicity_nonzero(d, f):
-                    expected = 1
-                    for r in tensor_factors(d, f, n):
-                        expected *= r + 1
-                    assert expected == multiplicity(d, f, n)
+                if not multiplicity_nonzero(d, f):
+                    with pytest.raises(ValueError):
+                        tensor_factors(d, f, n)
+                    continue
+                r = tensor_factors(d, f, n)
+                assert r == margin_tensor_factors(d, f, n)
+                expected = 1
+                for ri in r:
+                    expected *= ri + 1
+                assert expected == multiplicity(d, f, n)
 
 
 def test_tl_weight_worked_example():
@@ -177,10 +191,12 @@ def test_tl_weights_fill_the_tensor_box():
             for f in all_diagrams(3, n):
                 if not multiplicity_nonzero(d, f):
                     continue
-                r = tensor_factors(d, f, n)
+                r = margin_tensor_factors(d, f, n)
                 box = set(product(*(range(-ri, ri + 1, 2) for ri in r)))
-                weights = {tl_weight(d, e, f, n)
-                           for e in enumerate_middle(d, f, n)}
+                middles = enumerate_middle(d, f, n)
+                for e in middles:
+                    assert tl_weight(d, e, f, n) == margin_tl_weight(d, e, f, n)
+                weights = {tl_weight(d, e, f, n) for e in middles}
                 assert weights == box
                 for w in weights:
                     assert all(abs(wi) <= ri and (wi - ri) % 2 == 0

@@ -9,15 +9,12 @@ from conftest import (
     all_diagrams,
     birkhoff_complement,
     count_patterns,
+    diagram_pairs,
     gamma_cells,
+    multiplicity_nonzero,
     triple_oracle,
 )
-from sympbranch.diagrams import (
-    multiplicity,
-    multiplicity_nonzero,
-    normalize,
-    part,
-)
+from sympbranch.diagrams import multiplicity, normalize, part
 from sympbranch.hibi import (
     PatternMap,
     chain_to_pattern,
@@ -156,24 +153,8 @@ def test_count_patterns_matches_multiplicity():
                     len(enumerate_standard(d, f, n))
 
 
-@st.composite
-def diagram_pairs(draw):
-    n = draw(st.integers(2, 5))
-    f = normalize(sorted(draw(st.lists(st.integers(0, 6), max_size=n)),
-                         reverse=True))
-    if draw(st.booleans()):
-        d = sorted(draw(st.lists(st.integers(0, 6), max_size=n - 1)),
-                   reverse=True)
-    else:  # f_i >= d_i >= f_{i+2}: the multiplicity is positive
-        d = []
-        for i in range(1, n):
-            hi = min(part(f, i), d[-1]) if d else part(f, i)
-            d.append(draw(st.integers(part(f, i + 2), hi)))
-    return normalize(d), f, n
-
-
 @settings(max_examples=150)
-@given(diagram_pairs())
+@given(diagram_pairs(5, 6))
 def test_count_patterns_oracle_matches_multiplicity(pair):
     d, f, n = pair
     assert count_patterns(d, f, n) == multiplicity(d, f, n) == \

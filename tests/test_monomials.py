@@ -2,7 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chains_up_to, incomparable_pair_count, triple_oracle
+from conftest import (
+    chain_order_type,
+    chains_up_to,
+    diagram_pairs,
+    incomparable_pair_count,
+    standard_oracle,
+    triple_oracle,
+)
+from sympbranch import diagrams, monomials
 from sympbranch.diagrams import (
     EQ,
     GE,
@@ -18,7 +26,6 @@ from sympbranch.monomials import (
     StandardMonomial,
     Tableau,
     assemble_rows,
-    chain_order_type,
     enumerate_standard,
     from_triple,
     is_chain,
@@ -118,6 +125,33 @@ def test_enumerate_standard_counts():
         d, _, f = monomial_triple(m.columns)
         assert (d, f) == ((4, 3, 1), (5, 4, 3, 2))
     assert enumerate_standard((), (), 3) == [StandardMonomial((), 3)]
+
+
+@settings(max_examples=300)
+@given(diagram_pairs(6, 8))
+def test_enumerate_standard_matches_column_oracle(pair):
+    d, f, n = pair
+    basis = enumerate_standard(d, f, n)
+    assert basis == standard_oracle(d, f, n)
+    if multiplicity(d, f, n) == 0:
+        assert basis == []
+
+
+def test_enumerate_standard_reads_the_pair_once(monkeypatch):
+    calls = {"check_triple": 0, "transpose": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(diagrams, "check_triple")
+    counted(monomials, "transpose")
+    assert len(enumerate_standard((4, 3, 1), (5, 4, 3, 2), 4)) == 16
+    assert calls == {"check_triple": 0, "transpose": 2}
 
 
 def test_chain_order_type_examples():
