@@ -1,4 +1,9 @@
-"""Command line front end: queries, enumeration, rewriting, verification."""
+"""Command line front end: queries, enumeration, rewriting, verification.
+
+``--json`` prints ``json.dumps(payload, indent=2)`` as written by ``_dumps``.
+Before 3.13 the stdlib indents with its pure-Python encoder, a third of the
+time of ``basis`` and ``degenerate``; delete ``_dumps`` once
+``requires-python`` is at least 3.13, where that path is in C."""
 
 from __future__ import annotations
 
@@ -7,6 +12,7 @@ import json
 import os
 import sys
 from functools import cache, partial
+from json.encoder import encode_basestring_ascii
 
 from sympbranch import diagrams, exacteval, hibi, monomials, straighten
 from sympbranch.diagrams import normalize, order_type_str
@@ -28,12 +34,31 @@ def _fmt_diagram(d) -> str:
     return "[" + ",".join(str(p) for p in d) + "]"
 
 
-def _emit(payload: dict, text_lines: list[str], as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2))
+# Exact types, so bool is not written as an int.
+_LEAF = {int: int.__repr__, str: encode_basestring_ascii}
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """Exactly ``json.dumps(obj, indent=2)``, for dicts with str keys."""
+    leaf = _LEAF.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = (f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}"
+                 for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)) and obj:
+        kinds = set(map(type, obj))
+        leaf = _LEAF.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(leaf, obj) if leaf else (_dumps(v, inner) for v in obj)
     else:
-        for line in text_lines:
-            print(line)
+        return json.dumps(obj)
+    open_, close = "{}" if isinstance(obj, dict) else "[]"
+    return open_ + inner + ("," + inner).join(items) + indent + close
+
+
+def _emit(payload: dict, text_lines: list[str], as_json: bool) -> None:
+    print(_dumps(payload) if as_json else "\n".join(text_lines))
 
 
 def _default_seed() -> int:
@@ -56,26 +81,25 @@ def _cmd_mult(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    d, f = _parse_diagram(args.D), _parse_diagram(args.F)
-    basis = monomials.enumerate_standard(d, f, args.n)
-    middles = diagrams.enumerate_middle(d, f, args.n)
-    word = order_type_str(diagrams.order_type_of(d, f, args.n))
-    entries = []
-    lines = [f"basis(D={_fmt_diagram(d)}, F={_fmt_diagram(f)}, n={args.n}): "
-             f"{len(basis)} standard monomials"]
-    for k, (e, m) in enumerate(zip(middles, basis), start=1):
-        weight = diagrams.tl_weight(d, e, f, args.n)
-        tab = monomials.to_tableau(m)
-        entries.append({"monomial": m.tokens(), "E": list(e),
-                        "order_type": word, "tl_weight": list(weight),
-                        "tableau": tab.to_json()})
+    d, f, n = _parse_diagram(args.D), _parse_diagram(args.F), args.n
+    middles = diagrams.enumerate_middle(d, f, n)
+    word = order_type_str(diagrams.order_type_of(d, f, n))
+    chains = zip(monomials.build_chains(d, f, n, middles), middles,
+                 diagrams.tl_weights(diagrams.middle_ranges(d, f, n), middles),
+                 (monomials.tableau_of_triple(d, e, f, n) for e in middles))
+    if args.json:
+        entries = [{"monomial": m.tokens(), "E": e, "order_type": word,
+                    "tl_weight": w, "tableau": tab.rows} for m, e, w, tab in chains]
+        print(_dumps({"schema": SCHEMA, "command": "basis", "n": n, "D": d,
+                      "F": f, "count": len(middles), "monomials": entries}))
+        return 0
+    lines = [f"basis(D={_fmt_diagram(d)}, F={_fmt_diagram(f)}, n={n}): "
+             f"{len(middles)} standard monomials"]
+    for k, (m, e, w, tab) in enumerate(chains, start=1):
         lines.append(f"#{k} {m}  E={_fmt_diagram(e)}  type={word}  "
-                     f"weight=({','.join(str(w) for w in weight)})")
-        lines += ["    " + " ".join(str(v) for v in row) for row in tab.rows]
-    payload = {"schema": SCHEMA, "command": "basis", "n": args.n,
-               "D": list(d), "F": list(f), "count": len(basis),
-               "monomials": entries}
-    _emit(payload, lines, args.json)
+                     f"weight=({','.join(map(str, w))})")
+        lines += ["    " + row for row in str(tab).splitlines()]
+    print("\n".join(lines))
     return 0
 
 
@@ -128,21 +152,22 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_degenerate(args) -> int:
-    d, f = _parse_diagram(args.D), _parse_diagram(args.F)
-    basis = monomials.enumerate_standard(d, f, args.n)
-    middles = diagrams.enumerate_middle(d, f, args.n)
-    entries = []
-    lines = [f"degenerate(D={_fmt_diagram(d)}, F={_fmt_diagram(f)}, n={args.n})"]
-    for k, (e, m) in enumerate(zip(middles, basis), start=1):
-        p = hibi.pattern_of_triple(d, e, f, args.n)
-        entries.append({"monomial": m.tokens(), **p.to_json()})
+    d, f, n = _parse_diagram(args.D), _parse_diagram(args.F), args.n
+    middles = diagrams.enumerate_middle(d, f, n)
+    chains = zip(monomials.build_chains(d, f, n, middles),
+                 (hibi.pattern_of_triple(d, e, f, n) for e in middles))
+    if args.json:
+        entries = [{"monomial": m.tokens(), **p.to_json()} for m, p in chains]
+        print(_dumps({"schema": SCHEMA, "command": "degenerate", "n": n,
+                      "D": d, "F": f, "count": len(middles),
+                      "margin_count": len(middles), "patterns": entries}))
+        return 0
+    lines = [f"degenerate(D={_fmt_diagram(d)}, F={_fmt_diagram(f)}, n={n})"]
+    for k, (m, p) in enumerate(chains, start=1):
         lines.append(f"#{k} {m}")
         lines += ["    " + row for row in hibi.pretty(p).splitlines()]
-    payload = {"schema": SCHEMA, "command": "degenerate", "n": args.n,
-               "D": list(d), "F": list(f), "count": len(basis),
-               "margin_count": len(middles), "patterns": entries}
-    lines.append(f"margin count = {len(middles)} (basis size {len(basis)})")
-    _emit(payload, lines, args.json)
+    lines.append(f"margin count = {len(middles)} (basis size {len(middles)})")
+    print("\n".join(lines))
     return 0
 
 

@@ -15,10 +15,10 @@ GE, LE, EQ = ">=", "<=", "="
 
 def normalize(parts) -> Diagram:
     """Validate weak decrease and strip trailing zeros."""
-    out = [operator.index(p) for p in parts]
-    if any(p < 0 for p in out):
+    out = list(map(operator.index, parts))
+    if out and min(out) < 0:
         raise ValueError(f"negative part in {out}")
-    if any(out[i] < out[i + 1] for i in range(len(out) - 1)):
+    if any(map(operator.lt, out, out[1:])):
         raise ValueError(f"{out} is not weakly decreasing")
     while out and out[-1] == 0:
         out.pop()
@@ -125,9 +125,16 @@ def tensor_factors(d, f, n: int) -> tuple[int, ...]:
     return tuple(len(r) - 1 for r in ranges)
 
 
+def tl_weights(ranges, middles) -> list[tuple[int, ...]]:
+    """Torus exponent vectors (2 e_i - lo_i - hi_i) of middle diagrams e,
+    read off the ``middle_ranges`` of their pair."""
+    sums = [r.start + r.stop - 1 for r in ranges]
+    return [tuple(2 * x - s for x, s in zip(e + (0,) * len(sums), sums))
+            for e in middles]
+
+
 def tl_weight(d, e, f, n: int) -> tuple[int, ...]:
-    """Torus exponent vector (2 e_i - lo_i - hi_i) of a doubly interlacing triple."""
+    """Torus exponent vector of a doubly interlacing triple."""
     d, e, f = normalize(d), normalize(e), normalize(f)
     check_triple(d, e, f, n)
-    return tuple(2 * part(e, i) - r.start - (r.stop - 1)
-                 for i, r in enumerate(middle_ranges(d, f, n), start=1))
+    return tl_weights(middle_ranges(d, f, n), [e])[0]

@@ -28,13 +28,18 @@ from sympbranch.straighten import FormalPolynomial
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
+def _exact(x):
+    """x if it is an int or a Fraction, else Fraction(x) (a slow type check)."""
+    return x if type(x) is int or type(x) is Fraction else Fraction(x)
+
+
 class ExactMatrix:
-    """Square matrix with Fraction entries."""
+    """Square matrix with rational entries, each an int or a Fraction."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        self.rows = tuple(tuple(map(_exact, row)) for row in rows)
         if any(len(row) != len(self.rows) for row in self.rows):
             raise ValueError("matrix must be square")
 
@@ -73,7 +78,7 @@ def _bareiss(rows) -> tuple[int, int, int]:
     on a square input that pivot is the determinant of the integer rows."""
     work, scale = [], 1
     for row in rows:
-        row = [Fraction(x) for x in row]
+        row = list(map(_exact, row))
         if work and len(row) != len(work[0]):
             raise ValueError("rows must have equal length")
         s = math.lcm(*(x.denominator for x in row)) if row else 1

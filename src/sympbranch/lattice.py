@@ -15,7 +15,7 @@ and (I_i, K_{i-1}) are the only incomparable pairs.  Comparisons, meets and
 joins are computed through the Birkhoff embedding: an element maps to the
 triple of its entry counts at the thresholds n+1, n, n-1, and a <= b holds
 exactly when a's triple dominates b's componentwise.  The covering chain is
-kept (``covering_pairs``) as an independent cross-check of that encoding.
+a test oracle (``covering_pairs`` in ``tests/conftest.py``) for that encoding.
 
 The chain test of ``monomials.is_chain`` rests on ``incomparable_pairs``: a
 multiset of elements is a chain exactly when it holds no I_i together with
@@ -165,14 +165,3 @@ def incomparable_pairs(n: int) -> list[tuple[ColumnIndex, ColumnIndex]]:
     return [(ColumnIndex("I", i, n), ColumnIndex("K", i - 1, n))
             for i in range(1, n)]
 
-
-def covering_pairs(n: int) -> list[tuple[ColumnIndex, ColumnIndex]]:
-    """Hasse covers as (lower, upper), independent of the Birkhoff encoding."""
-    pairs = [(ColumnIndex("J", j, n), ColumnIndex("Jp", j, n)) for j in range(n)]
-    for i in range(1, n):
-        jp_i = ColumnIndex("Jp", i, n)
-        j_below = ColumnIndex("J", i - 1, n)
-        for mid in (ColumnIndex("I", i, n), ColumnIndex("K", i - 1, n)):
-            pairs.append((jp_i, mid))
-            pairs.append((mid, j_below))
-    return pairs

@@ -1,11 +1,15 @@
 """Standard monomials: multichains in the lattice and their tableau avatars.
 A chain of shape F/D is rest(D, F), its I and K columns, times
-J_{i-1}^(e_i - lo_i) J'_{i-1}^(hi_i - e_i) over the middle ranges."""
+J_{i-1}^(e_i - lo_i) J'_{i-1}^(hi_i - e_i) over the middle ranges.  Its
+tableau is the Gelfand-Tsetlin pattern (F, E, D) read row by row: row k
+holds d_k entries k, then e_k - d_k entries n, then f_k - e_k entries n+1
+(d_n = 0, so row n holds only n and n+1)."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import count
 
 from sympbranch import diagrams
 from sympbranch.diagrams import Diagram, normalize, part, transpose
@@ -31,9 +35,6 @@ class StandardMonomial:
     def tokens(self) -> list[str]:
         return [c.token() for c in self.columns]
 
-    def degree(self) -> int:
-        return len(self.columns)
-
     def __str__(self):
         return "[" + ",".join(self.tokens()) + "]"
 
@@ -51,11 +52,8 @@ class Tableau:
         object.__setattr__(self, "rows",
                            tuple(tuple(row) for row in self.rows if len(row)))
 
-    def row_lengths(self) -> tuple[int, ...]:
-        return tuple(len(row) for row in self.rows)
-
     def is_semistandard(self) -> bool:
-        lengths = self.row_lengths()
+        lengths = tuple(map(len, self.rows))
         if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
             return False
         for row in self.rows:
@@ -66,9 +64,6 @@ class Tableau:
             if any(col[r] >= col[r + 1] for r in range(len(col) - 1)):
                 return False
         return True
-
-    def to_json(self) -> list[list[int]]:
-        return [list(row) for row in self.rows]
 
     def __str__(self):
         return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
@@ -82,16 +77,15 @@ def is_chain(cols) -> bool:
                    for kind, i in present)
 
 
-def assemble_rows(cols) -> tuple[tuple[int, ...], ...]:
-    """Concatenate column sets, widest first, into tableau rows."""
-    ordered = sorted(cols, key=lambda c: (-c.size(),) + c.sort_key())
-    sets = [c.column_set() for c in ordered]
-    depth = max((len(s) for s in sets), default=0)
-    return tuple(tuple(s[r] for s in sets if len(s) > r) for r in range(depth))
+def tableau_of_triple(d: Diagram, e: Diagram, f: Diagram, n: int) -> Tableau:
+    """The tableau of the chain with base d, middle diagram e and shape f."""
+    pad = (0,) * len(f)
+    return Tableau(tuple((k,) * dk + (n,) * (ek - dk) + (n + 1,) * (fk - ek)
+                         for k, fk, ek, dk in zip(count(1), f, e + pad, d + pad)))
 
 
 def to_tableau(m: StandardMonomial) -> Tableau:
-    return Tableau(assemble_rows(m.columns))
+    return tableau_of_triple(*monomial_triple(m.columns), m.n)
 
 
 def monomial_triple(cols) -> tuple[Diagram, Diagram, Diagram]:
@@ -111,7 +105,7 @@ def _conjugate(counts) -> Diagram:
                  for k in range(1, counts[-1] + 1))
 
 
-def _chains(d, f, n: int, middles) -> list[StandardMonomial]:
+def build_chains(d, f, n: int, middles) -> list[StandardMonomial]:
     """Chains of shape f/d for these middles, [] at multiplicity 0.  With d', f'
     conjugate, rest has I_{d'_c} if f'_c = d'_c and K_{d'_c} if f'_c = d'_c + 2."""
     ranges = diagrams.middle_ranges(d, f, n)
@@ -121,14 +115,16 @@ def _chains(d, f, n: int, middles) -> list[StandardMonomial]:
     dt = transpose(d) + (0,) * len(ft)
     rest = [ColumnIndex("I" if fc == dc else "K", dc, n)
             for fc, dc in zip(ft, dt) if fc - dc != 1]
-    pairs = [(ColumnIndex("J", i, n), ColumnIndex("Jp", i, n)) for i in range(n)]
-    chains = []
+    factors = [(r.start, r.stop - 1, ColumnIndex("J", i, n),
+                ColumnIndex("Jp", i, n)) for i, r in enumerate(ranges)]
+    pad = (0,) * n
+    out = []
     for e in middles:
         cols = list(rest)
-        for i, (r, (j, jp)) in enumerate(zip(ranges, pairs), start=1):
-            cols += [j] * (part(e, i) - r.start) + [jp] * (r.stop - 1 - part(e, i))
-        chains.append(StandardMonomial(tuple(cols), n))
-    return chains
+        for x, (lo, hi, j, jp) in zip(e + pad, factors):
+            cols += [j] * (x - lo) + [jp] * (hi - x)
+        out.append(StandardMonomial(tuple(cols), n))
+    return out
 
 
 def from_triple(d, e, f, n: int) -> StandardMonomial:
@@ -136,12 +132,12 @@ def from_triple(d, e, f, n: int) -> StandardMonomial:
     Inverse to ``monomial_triple`` on chains."""
     d, e, f = normalize(d), normalize(e), normalize(f)
     diagrams.check_triple(d, e, f, n)
-    return _chains(d, f, n, [e])[0]
+    return build_chains(d, f, n, [e])[0]
 
 
 def enumerate_standard(d, f, n: int) -> list[StandardMonomial]:
     """All chains of shape f/d, ordered like their middle diagrams."""
-    return _chains(d, f, n, diagrams.enumerate_middle(d, f, n))
+    return build_chains(d, f, n, diagrams.enumerate_middle(d, f, n))
 
 
 def natural_sl2_weight(m: StandardMonomial) -> int:

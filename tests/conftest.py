@@ -14,7 +14,7 @@ from sympbranch.diagrams import (EQ, GE, LE, enumerate_middle, normalize, part,
 from sympbranch.exacteval import ExactMatrix
 from sympbranch.hibi import PatternMap
 from sympbranch.lattice import ColumnIndex, comparable, elements, from_ones
-from sympbranch.monomials import StandardMonomial, assemble_rows
+from sympbranch.monomials import StandardMonomial
 from sympbranch.straighten import FormalPolynomial, canonical_monomial
 
 # Property tests keep no example database and have no deadline; each test
@@ -182,6 +182,15 @@ def incomparable_pair_count(mono):
     return sum(not comparable(a, b) for a, b in combinations(mono, 2))
 
 
+def assemble_rows(cols):
+    """Tableau rows built from the column sets: sort the columns widest
+    first, then row r is the r-th entry of every column that has one."""
+    ordered = sorted(cols, key=lambda c: (-c.size(),) + c.sort_key())
+    sets = [c.column_set() for c in ordered]
+    depth = max((len(s) for s in sets), default=0)
+    return tuple(tuple(s[r] for s in sets if len(s) > r) for r in range(depth))
+
+
 def triple_oracle(cols, n):
     """(D, E, F) of a column multiset read off its entries and its tableau:
     F transposes the column sizes, E has the tableau's row lengths after
@@ -253,6 +262,18 @@ def rewrite_straighten(p, rng=None):
         stack.append((canonical_monomial(rest + meet_pair), coeff))
         stack.append((canonical_monomial(rest + skew_pair), -coeff))
     return FormalPolynomial(out)
+
+
+def covering_pairs(n):
+    """Hasse covers as (lower, upper), independent of the Birkhoff encoding."""
+    pairs = [(ColumnIndex("J", j, n), ColumnIndex("Jp", j, n)) for j in range(n)]
+    for i in range(1, n):
+        jp_i = ColumnIndex("Jp", i, n)
+        j_below = ColumnIndex("J", i - 1, n)
+        for mid in (ColumnIndex("I", i, n), ColumnIndex("K", i - 1, n)):
+            pairs.append((jp_i, mid))
+            pairs.append((mid, j_below))
+    return pairs
 
 
 def chains_up_to(n, max_cols):

@@ -1,10 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sympbranch import cli
+from conftest import assemble_rows, diagram_pairs, margin_tl_weight
+from sympbranch import cli, diagrams, hibi
 from sympbranch.cli import main
+from sympbranch.lattice import parse_column
 
 
 def run(capsys, *argv):
@@ -178,6 +185,77 @@ def test_main_builds_the_parser_at_most_once(capsys, monkeypatch):
     assert seeds == [3, 5]
 
 
+@settings(max_examples=100)
+@given(diagram_pairs(6, 3))
+def test_basis_weights_and_tableaux_match_oracles(pair):
+    d, f, n = pair
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(["basis", ",".join(map(str, d)), ",".join(map(str, f)),
+                     "--n", str(n), "--json"])
+    assert code == 0
+    entries = json.loads(buffer.getvalue())["monomials"]
+    assert len(entries) == diagrams.multiplicity(d, f, n)
+    for entry in entries:
+        e = tuple(entry["E"])
+        assert entry["tl_weight"] == list(diagrams.tl_weight(d, e, f, n)) \
+            == list(margin_tl_weight(d, e, f, n))
+        cols = [parse_column(token, n) for token in entry["monomial"]]
+        assert entry["tableau"] == [list(row) for row in assemble_rows(cols)]
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args)
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_basis_json_reads_the_pair_once(capsys, monkeypatch):
+    calls = {"check_triple": 0}
+    _count_calls(monkeypatch, diagrams, "check_triple", calls)
+    _count_calls(monkeypatch, diagrams, "enumerate_middle", calls)
+    code, out, _ = run(capsys, "basis", "4,3,1", "5,4,3,2", "--n", "4", "--json")
+    assert code == 0 and json.loads(out)["count"] == 16
+    assert calls == {"check_triple": 0, "enumerate_middle": 1}
+
+
+def test_degenerate_json_builds_no_text(capsys, monkeypatch):
+    calls = {"pretty": 0}
+    _count_calls(monkeypatch, hibi, "pretty", calls)
+    code, out, _ = run(capsys, "degenerate", "4,3,1", "5,4,3,2", "--n", "4",
+                       "--json")
+    assert code == 0 and json.loads(out)["count"] == 16
+    assert calls == {"pretty": 0}
+
+
+_SPECIAL_STRINGS = ['"', "\\", "a\"b\\c", "\x00\x1f\n\t\x7f", "caf\u00e9",
+                    "\u2603 \U0001d11e", "\ud800", ""]
+_json_strings = st.text() | st.sampled_from(_SPECIAL_STRINGS)
+_json_leaves = (st.integers(-2**200, 2**200) | st.booleans() | st.none()
+                | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+                | _json_strings)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(_json_strings, inner)
+                   | st.lists(st.integers()) | st.lists(_json_strings)),
+    max_leaves=20)
+
+
+@settings(max_examples=300)
+@given(_json_values)
+@example([1, True])
+@example([True, False])
+@example([1, "a"])
+@example([[], (), {}, [[]], {"k": ()}])
+@example({"a": [1, -2, 3], "b": ["x", "\n"], "c": (1.5, None)})
+def test_writer_matches_indented_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
 def test_degenerate(capsys):
     code, out, _ = run(capsys, "degenerate", "3,2", "3,3,2,1", "--n", "4",
                        "--json")
@@ -271,6 +349,11 @@ _GOLDEN_ARGV = [
     ("mult", "oops", "1", "--n", "2"),
     ("straighten", "[I1,K0", "--n", "2"),
     ("verify", "relations", "--n", "2", "--trials", "0"),
+    ("basis", "5,3,3,1", "7,6,4,2,1", "--n", "5"),
+    ("basis", "5,3,3,1", "7,6,4,2,1", "--n", "5", "--json"),
+    ("degenerate", "5,3,3,1", "7,6,4,2,1", "--n", "5"),
+    ("degenerate", "5,3,3,1", "7,6,4,2,1", "--n", "5", "--json"),
+    ("degenerate", "8,3", "10,6,2", "--n", "3"),
 ]
 _GOLDEN_DIGESTS = [
     "ba9c89fbad49bc1a", "f1ca12956cc2513f", "5e08ce23ba1f0202",
@@ -283,6 +366,8 @@ _GOLDEN_DIGESTS = [
     "b60b0b2bc654143c", "1641ea1853c80148", "937ba7dd982f6cd8",
     "6ee9a51b66c76e7b", "a38ca80de576bc38", "a5c130077bff7caa",
     "53c234e5e8472b6a", "53c234e5e8472b6a", "53c234e5e8472b6a",
+    "82be65989acde588", "7f73949d2ec8ae77", "48244d92eabb6d75",
+    "68e7d88b6b5aa54a", "6a36de711a673f49",
 ]
 
 

@@ -126,6 +126,37 @@ def test_elimination_matches_leibniz_and_rank_oracles(data):
         assert exact_rank(rows[:cut]) == _rank_oracle(rows[:cut])
 
 
+@settings(max_examples=200)
+@given(st.data())
+def test_elimination_is_the_same_on_ints_fractions_and_mixed_rows(data):
+    # ints and Fractions are used as they are, other numbers go through
+    # Fraction: one matrix given as ints, as Fractions, cell by cell mixed
+    # or as floats has one det and one rank.
+    size = data.draw(st.integers(1, 5))
+    ints = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=size,
+                                       max_size=size),
+                              min_size=size, max_size=size))
+    if size >= 2 and data.draw(st.booleans()):
+        ints[-1] = [3 * v for v in ints[0]]
+    fracs = [[Fraction(v) for v in row] for row in ints]
+    mixed = [[Fraction(v) if data.draw(st.booleans()) else v for v in row]
+             for row in ints]
+    floats = [[float(v) for v in row] for row in ints]
+    expected = leibniz_det(fracs)
+    for rows in (ints, fracs, mixed, floats):
+        value = det(rows)
+        assert value == expected and type(value) is Fraction
+        for cut in range(size + 1):
+            assert exact_rank(rows[:cut]) == _rank_oracle(fracs[:cut])
+        matrix = ExactMatrix(rows)
+        assert matrix == ExactMatrix(fracs)
+        assert all(type(x) in (int, Fraction) for row in matrix.rows for x in row)
+    assert [list(map(type, row)) for row in ExactMatrix(mixed).rows] == \
+        [list(map(type, row)) for row in mixed]
+    third = [[Fraction(v, 3) for v in ints[0]]] + mixed[1:]
+    assert det(third) == expected / 3
+
+
 def test_delta_examples():
     n = 3
     eye = ExactMatrix.identity(2 * n)

@@ -2,11 +2,10 @@ from itertools import combinations
 
 import pytest
 
-from conftest import birkhoff_complement, gamma_cells
+from conftest import birkhoff_complement, covering_pairs, gamma_cells
 from sympbranch.lattice import (
     ColumnIndex,
     column_from_set,
-    covering_pairs,
     elements,
     incomparable_pairs,
     join,

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assemble_rows,
     chain_order_type,
     chains_up_to,
     diagram_pairs,
@@ -25,13 +26,13 @@ from sympbranch.lattice import ColumnIndex, column_from_set, elements
 from sympbranch.monomials import (
     StandardMonomial,
     Tableau,
-    assemble_rows,
     enumerate_standard,
     from_triple,
     is_chain,
     monomial_triple,
     natural_sl2_weight,
     sample_chain,
+    tableau_of_triple,
     to_tableau,
 )
 
@@ -107,6 +108,14 @@ def test_round_trip_on_all_small_chains():
             assert from_triple(*key, n) == m
             assert key not in seen, f"{m} and {seen[key]} collide"
             seen[key] = m
+
+
+def test_tableau_of_triple_matches_the_column_oracle():
+    for n in (2, 3, 4):
+        for m in chains_up_to(n, 4 if n < 4 else 3):
+            tableau = tableau_of_triple(*monomial_triple(m.columns), n)
+            assert tableau.rows == assemble_rows(m.columns)
+            assert to_tableau(m) == tableau
 
 
 def test_semistandard_iff_chain():
