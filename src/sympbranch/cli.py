@@ -19,6 +19,8 @@ from sympbranch.diagrams import normalize, order_type_str
 
 SCHEMA = "1"
 
+LISTING_CAP = 100_000  # the most middle diagrams a command lists
+
 
 def _parse_diagram(text: str) -> tuple[int, ...]:
     text = text.strip()
@@ -61,6 +63,14 @@ def _emit(payload: dict, text_lines: list[str], as_json: bool) -> None:
     print(_dumps(payload) if as_json else "\n".join(text_lines))
 
 
+def _middles(d, f, n: int) -> list:
+    """The middle diagrams of a pair, refused before any is built past the cap."""
+    if (count := diagrams.multiplicity(d, f, n)) > LISTING_CAP:
+        raise ValueError(f"multiplicity {count} is over the listing cap "
+                         f"{LISTING_CAP}")
+    return diagrams.enumerate_middle(d, f, n)
+
+
 def _default_seed() -> int:
     return int(os.environ.get("SYMPBRANCH_SEED", "0"))
 
@@ -73,7 +83,7 @@ def _cmd_mult(args) -> int:
     lines = [f"multiplicity(D={_fmt_diagram(d)}, F={_fmt_diagram(f)}, "
              f"n={args.n}) = {count}"]
     if args.list:
-        middles = diagrams.enumerate_middle(d, f, args.n)
+        middles = _middles(d, f, args.n)
         payload["middles"] = [list(e) for e in middles]
         lines += [f"  E = {_fmt_diagram(e)}" for e in middles]
     _emit(payload, lines, args.json)
@@ -82,7 +92,7 @@ def _cmd_mult(args) -> int:
 
 def _cmd_basis(args) -> int:
     d, f, n = _parse_diagram(args.D), _parse_diagram(args.F), args.n
-    middles = diagrams.enumerate_middle(d, f, n)
+    middles = _middles(d, f, n)
     word = order_type_str(diagrams.order_type_of(d, f, n))
     chains = zip(monomials.build_chains(d, f, n, middles), middles,
                  diagrams.tl_weights(diagrams.middle_ranges(d, f, n), middles),
@@ -108,18 +118,15 @@ def _cmd_straighten(args) -> int:
     base = straighten.default_weight_base(args.n)
     result = (straighten.hibi_normal_form(poly) if args.hibi
               else straighten.straighten(poly))
-    ordered = straighten.sorted_terms(result)
-    terms = straighten.poly_to_json(result)
-    for term, (mono, _) in zip(terms, ordered):
-        term["weight"] = straighten.lattice_weight(mono, base)
+    text, terms = straighten.format_poly(result), straighten.poly_to_json(result)
     payload = {"schema": SCHEMA, "command": "straighten", "n": args.n,
                "mode": "hibi" if args.hibi else "straighten",
                "input": straighten.format_poly(poly),
-               "weight_base": base, "terms": terms,
-               "result": straighten.format_poly(result)}
-    lines = [straighten.format_poly(result)]
+               "weight_base": base, "terms": terms, "result": text}
+    lines = [text]
     lines += [f"  {str(coeff):>5}  [{','.join(term['monomial'])}]"
-              f"  wt={term['weight']}" for term, (_, coeff) in zip(terms, ordered)]
+              f"  wt={term['weight']}"
+              for term, coeff in zip(terms, result.terms.values())]
     lines.append(f"(weight base N = {base})")
     _emit(payload, lines, args.json)
     return 0
@@ -153,7 +160,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_degenerate(args) -> int:
     d, f, n = _parse_diagram(args.D), _parse_diagram(args.F), args.n
-    middles = diagrams.enumerate_middle(d, f, n)
+    middles = _middles(d, f, n)
     chains = zip(monomials.build_chains(d, f, n, middles),
                  (hibi.pattern_of_triple(d, e, f, n) for e in middles))
     if args.json:

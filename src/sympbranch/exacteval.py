@@ -8,7 +8,9 @@ exponential 1 + c E_ij adds c times column i to column j, and a torus element
 scales columns, or rows and columns when it acts on both sides.  Points are
 sampled in integers over one denominator per column, then wrapped.  A check
 builds its moved point once per trial and compares one generator table there
-with one at X.
+with one at X.  ``verify relations`` checks the relations that ``straighten``
+applies: it reads each from ``straighten.quadratic_relation`` and multiplies
+its factors' values from one generator table.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from fractions import Fraction
 
 from sympbranch import diagrams
 from sympbranch.lattice import ColumnIndex, elements
-from sympbranch.monomials import (StandardMonomial, enumerate_standard,
-                                  monomial_triple, natural_sl2_weight,
-                                  sample_chain)
-from sympbranch.straighten import FormalPolynomial
+from sympbranch.monomials import (StandardMonomial, build_chains,
+                                  monomial_triple, sample_chain)
+from sympbranch.straighten import FormalPolynomial, quadratic_relation
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -323,17 +324,17 @@ def random_torus_element(n: int, seed: int) -> TorusElement:
 # --- verification ------------------------------------------------------------
 
 def verify_straightening_identity(X: ExactMatrix) -> bool:
-    """The quadratic relations hold exactly at X, for every index i."""
+    """Each ``straighten.quadratic_relation`` holds exactly at X: the pair's
+    value is the meet-join term's minus the skew term's."""
     if X.size % 2 or X.size < 4:
         raise ValueError("expected a 2n x 2n matrix with n >= 2")
     n = X.size // 2
     table = delta_table(n, X)
-
-    def val(kind, idx):
-        return table[ColumnIndex(kind, idx, n)]
-
-    return not any(val("I", i) * val("K", i - 1) - val("Jp", i) * val("J", i - 1)
-                   + val("J", i) * val("Jp", i - 1) for i in range(1, n))
+    for i in range(1, n):
+        pair, meet, skew = (table[a] * table[b] for a, b in quadratic_relation(i, n))
+        if pair != meet - skew:
+            return False
+    return True
 
 
 def _moved_misses(targets, X, moved, character) -> list[StandardMonomial]:
@@ -412,11 +413,12 @@ def independence_certificate(d, f, n: int, seed: int = 0, trials: int = 3) -> di
 
     tau_s = diag(1, .., 1, s, 1/s, 1, .., 1), s at coordinate n, is
     symplectic, and right translation by it scales each chain m by s^w(m),
-    w = ``natural_sl2_weight``.  So a relation sum a_m m = 0 on Sp(2n) gives,
-    at each X tau_s, a Laurent polynomial in s that vanishes for all s != 0;
-    by a Vandermonde argument each weight's part vanishes alone.  The
-    monomials are independent exactly when each weight block is, and a block
-    is when its values at sampled points have full column rank.
+    w = #J - #J' = the sum of its ``diagrams.tl_weights``.  So a relation
+    sum a_m m = 0 on Sp(2n) gives, at each X tau_s, a Laurent polynomial in s
+    that vanishes for all s != 0; by a Vandermonde argument each weight's part
+    vanishes alone.  The monomials are independent exactly when each weight
+    block is, and a block is when its values at sampled points have full
+    column rank.
 
     Each trial samples (largest block + 2) points and ranks each block not
     yet full.  ``rank`` sums the block ranks, ``blocks`` lists
@@ -424,10 +426,12 @@ def independence_certificate(d, f, n: int, seed: int = 0, trials: int = 3) -> di
     block that fell short.
     """
     d, f = diagrams.normalize(d), diagrams.normalize(f)
-    monos = enumerate_standard(d, f, n)
+    middles = diagrams.enumerate_middle(d, f, n)
+    monos = build_chains(d, f, n, middles)
+    weights = diagrams.tl_weights(diagrams.middle_ranges(d, f, n), middles)
     blocks: dict[int, list[int]] = {}
-    for k, m in enumerate(monos):
-        blocks.setdefault(natural_sl2_weight(m), []).append(k)
+    for k, w in enumerate(weights):
+        blocks.setdefault(sum(w), []).append(k)
     ranks = dict.fromkeys(blocks, 0)
     width = max(map(len, blocks.values()), default=0) + 2
     rng = random.Random(seed)
@@ -452,6 +456,9 @@ def independence_certificate(d, f, n: int, seed: int = 0, trials: int = 3) -> di
 
 
 # --- seeded suites -----------------------------------------------------------
+
+_MAX_PART = 2  # without --D/--F, independence checks the pairs of parts <= this
+
 
 def relations_suite(n: int, seed: int, trials: int) -> dict:
     rng = random.Random(seed)
@@ -504,16 +511,15 @@ def torus_suite(n: int, seed: int, trials: int) -> dict:
             "trials": trials, "failures": failures}
 
 
-def independence_suite(n: int, seed: int, trials: int,
-                       d=None, f=None, max_part: int = 2) -> dict:
+def independence_suite(n: int, seed: int, trials: int, d=None, f=None) -> dict:
     if (d is None) != (f is None):
         raise ValueError("give both diagrams or neither")
     if d is not None:
         pairs = [(diagrams.normalize(d), diagrams.normalize(f))]
     else:
         pairs = [(dd, ff)
-                 for dd in _diagrams_up_to(max_part, n - 1)
-                 for ff in _diagrams_up_to(max_part, n)
+                 for dd in _diagrams_up_to(_MAX_PART, n - 1)
+                 for ff in _diagrams_up_to(_MAX_PART, n)
                  if diagrams.multiplicity(dd, ff, n)]
     rng = random.Random(seed)
     failures, checked = [], []
@@ -526,7 +532,7 @@ def independence_suite(n: int, seed: int, trials: int,
             failures.append({"seed": cert_seed, "witness": cert["witness"]})
     return {"op": "independence",
             "params": {"n": n, "seed": seed, "pairs": len(pairs),
-                       "max_part": None if d is not None else max_part},
+                       "max_part": None if d is not None else _MAX_PART},
             "trials": trials, "failures": failures, "checked": checked}
 
 

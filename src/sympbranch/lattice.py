@@ -17,10 +17,9 @@ triple of its entry counts at the thresholds n+1, n, n-1, and a <= b holds
 exactly when a's triple dominates b's componentwise.  The covering chain is
 a test oracle (``covering_pairs`` in ``tests/conftest.py``) for that encoding.
 
-The chain test of ``monomials.is_chain`` rests on ``incomparable_pairs``: a
-multiset of elements is a chain exactly when it holds no I_i together with
-K_{i-1}.  ``test_incomparable_pairs_match_exhaustive_scan`` checks that list
-against a scan of all pairs.
+The chain test of ``monomials.is_chain`` rests on one fact, checked by a scan
+of all pairs in the tests: a multiset of elements is a chain exactly when it
+holds no I_i together with K_{i-1}, the pair of ``straighten.quadratic_relation``.
 """
 
 from __future__ import annotations
@@ -158,10 +157,3 @@ def elements(n: int) -> list[ColumnIndex]:
     cols += [ColumnIndex("Jp", j, n) for j in range(n)]
     cols += [ColumnIndex("K", k, n) for k in range(n - 1)]
     return sorted(cols, key=ColumnIndex.sort_key)
-
-
-def incomparable_pairs(n: int) -> list[tuple[ColumnIndex, ColumnIndex]]:
-    """The n-1 incomparable pairs (I_i, K_{i-1})."""
-    return [(ColumnIndex("I", i, n), ColumnIndex("K", i - 1, n))
-            for i in range(1, n)]
-

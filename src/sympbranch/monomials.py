@@ -140,12 +140,6 @@ def enumerate_standard(d, f, n: int) -> list[StandardMonomial]:
     return build_chains(d, f, n, diagrams.enumerate_middle(d, f, n))
 
 
-def natural_sl2_weight(m: StandardMonomial) -> int:
-    """Diagonal torus weight: J columns count +1, J' columns count -1."""
-    return (sum(1 for c in m.columns if c.kind == "J")
-            - sum(1 for c in m.columns if c.kind == "Jp"))
-
-
 def sample_chain(n: int) -> StandardMonomial:
     """A representative chain touching all four generator kinds."""
     cols = [ColumnIndex("J", n - 1, n), ColumnIndex("K", n - 2, n),

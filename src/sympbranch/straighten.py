@@ -1,13 +1,15 @@
 """Formal polynomials on the minor generators and the straightening law.
 
 A monomial is a multiset of column indices, held as a canonically sorted
-tuple.  The only incomparable factor pairs are I_i * K_{i-1}, and the
-two-term rule sends each to J'_i * J_{i-1} - J_i * J'_{i-1}.  Those four
-factors are comparable with every element, so with m_i = min(#I_i, #K_{i-1})
-a monomial straightens in closed form to its leftover factors times
-prod_i (J'_i J_{i-1} - J_i J'_{i-1})^{m_i}.  The one-term rule
-(``hibi_normal_form``) keeps only the meet-join product J'_i * J_{i-1}: the
-associated graded multiplication of the degeneration.
+tuple.  A polynomial keeps its terms in display order (filtration weight,
+then degree, then columns), sorted once by its constructor.  The only
+incomparable factor pairs are I_i * K_{i-1}, and the two-term rule sends each
+to J'_i * J_{i-1} - J_i * J'_{i-1}; ``quadratic_relation`` is the one home of
+these factors.  The J factors are comparable with every element, so with
+m_i = min(#I_i, #K_{i-1}) a monomial straightens in closed form to its
+leftover factors times prod_i (J'_i J_{i-1} - J_i J'_{i-1})^{m_i}.  The
+one-term rule (``hibi_normal_form``) keeps only the meet-join product
+J'_i * J_{i-1}: the associated graded multiplication of the degeneration.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import comb
 from types import MappingProxyType
 
@@ -32,21 +35,31 @@ def canonical_monomial(cols) -> Monomial:
     return cols
 
 
-def _split_pairs(mono) -> tuple[list[ColumnIndex], list[tuple[int, int]]]:
-    """Leftover factors and the pair counts (i, m_i = min(#I_i, #K_{i-1}))."""
+@cache
+def quadratic_relation(i: int, n: int) -> tuple[Monomial, Monomial, Monomial]:
+    """The relation I_i K_{i-1} = J'_i J_{i-1} - J_i J'_{i-1}, 1 <= i <= n-1,
+    as (incomparable pair, meet-join term, skew term)."""
+    return ((ColumnIndex("I", i, n), ColumnIndex("K", i - 1, n)),
+            (ColumnIndex("Jp", i, n), ColumnIndex("J", i - 1, n)),
+            (ColumnIndex("J", i, n), ColumnIndex("Jp", i - 1, n)))
+
+
+def _split_pairs(mono) -> tuple[Monomial, list[tuple[tuple, int]]]:
+    """Leftover factors, and the relation of each incomparable pair present
+    with its count m_i = min(#I_i, #K_{i-1})."""
     counts, pairs = Counter(mono), []
     for c in list(counts):
         if c.kind == "I":
-            k = ColumnIndex("K", c.idx - 1, c.n)
-            if m := min(counts[c], counts[k]):
-                pairs.append((c.idx, m))
-                counts[c] -= m
-                counts[k] -= m
-    return list(counts.elements()), pairs
+            relation = quadratic_relation(c.idx, c.n)
+            if m := min(counts[x] for x in relation[0]):
+                pairs.append((relation, m))
+                counts.subtract(relation[0] * m)
+    return tuple(counts.elements()), pairs
 
 
 class FormalPolynomial:
-    """Finite rational combination of monomials in the generators."""
+    """Finite rational combination of monomials in the generators, its
+    nonzero terms held in display order (``_term_sort_key``)."""
 
     __slots__ = ("_terms",)
 
@@ -56,7 +69,8 @@ class FormalPolynomial:
         for mono, coeff in items:
             mono = canonical_monomial(mono)
             acc[mono] = acc.get(mono, Fraction(0)) + Fraction(coeff)
-        self._terms = {m: c for m, c in acc.items() if c}
+        self._terms = dict(sorted(((m, c) for m, c in acc.items() if c),
+                                  key=lambda kv: _term_sort_key(kv[0])))
 
     @classmethod
     def monomial(cls, cols, coeff=1) -> "FormalPolynomial":
@@ -76,10 +90,7 @@ class FormalPolynomial:
         return isinstance(other, FormalPolynomial) and self._terms == other._terms
 
     def __add__(self, other: "FormalPolynomial") -> "FormalPolynomial":
-        merged = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            merged[mono] = merged.get(mono, Fraction(0)) + coeff
-        return FormalPolynomial(merged)
+        return FormalPolynomial([*self._terms.items(), *other._terms.items()])
 
     def __neg__(self):
         return FormalPolynomial({m: -c for m, c in self._terms.items()})
@@ -113,10 +124,7 @@ def straighten(p: FormalPolynomial) -> FormalPolynomial:
     for mono, coeff in p.terms.items():
         rest, pairs = _split_pairs(mono)
         terms = [(rest, coeff)]
-        for i, m in pairs:
-            n = mono[0].n
-            meet = [ColumnIndex("Jp", i, n), ColumnIndex("J", i - 1, n)]
-            skew = [ColumnIndex("J", i, n), ColumnIndex("Jp", i - 1, n)]
+        for (_, meet, skew), m in pairs:
             terms = [(cols + meet * (m - j) + skew * j,
                       c * comb(m, j) * (-1) ** j)
                      for cols, c in terms for j in range(m + 1)]
@@ -124,11 +132,10 @@ def straighten(p: FormalPolynomial) -> FormalPolynomial:
     return FormalPolynomial(out)
 
 
-def _hibi_monomial(mono: Monomial) -> list[ColumnIndex]:
+def _hibi_monomial(mono: Monomial) -> Monomial:
     rest, pairs = _split_pairs(mono)
-    for i, m in pairs:
-        n = mono[0].n
-        rest += [ColumnIndex("Jp", i, n), ColumnIndex("J", i - 1, n)] * m
+    for (_, meet, _), m in pairs:
+        rest += meet * m
     return rest
 
 
@@ -164,41 +171,30 @@ def default_weight_base(n: int) -> int:
 
 # --- text and JSON forms ---------------------------------------------------
 
+def _term_weight(mono: Monomial) -> int:
+    """Filtration weight in the default base of the monomial's rank."""
+    return lattice_weight(mono, default_weight_base(mono[0].n)) if mono else 0
+
+
 def _term_sort_key(mono: Monomial):
-    if mono:
-        weight = lattice_weight(mono, default_weight_base(mono[0].n))
-    else:
-        weight = 0
-    return (weight, len(mono), tuple(c.sort_key() for c in mono))
-
-
-def sorted_terms(p: FormalPolynomial) -> list[tuple[Monomial, Fraction]]:
-    """Terms in display order: filtration weight, then degree, then columns."""
-    return sorted(p.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
+    """Display order: filtration weight, then degree, then columns."""
+    return (_term_weight(mono), len(mono), tuple(c.sort_key() for c in mono))
 
 
 def _monomial_str(mono: Monomial) -> str:
     return "[" + ",".join(c.token() for c in mono) + "]"
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def format_poly(p: FormalPolynomial) -> str:
     if not p:
         return "0"
     pieces = []
-    for mono, coeff in sorted_terms(p):
-        sign = "-" if coeff < 0 else "+"
+    for mono, coeff in p.terms.items():
         mag = abs(coeff)
-        body = _monomial_str(mono) if mag == 1 else f"{_coeff_str(mag)}*{_monomial_str(mono)}"
-        pieces.append((sign, body))
-    first_sign, first_body = pieces[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        text += f" {sign} {body}"
-    return text
+        body = _monomial_str(mono) if mag == 1 else f"{mag}*{_monomial_str(mono)}"
+        pieces += ["-" if coeff < 0 else "+", body]
+    text = " ".join(pieces)  # "+ a - b ..." for "a - b ..."
+    return text[2:] if pieces[0] == "+" else "-" + text[2:]
 
 
 _COEFF_RE = re.compile(r"(\d+(?:\s*/\s*\d+)?)\s*\*?\s*")
@@ -242,13 +238,13 @@ def parse_poly(text: str, n: int) -> FormalPolynomial:
         first = False
     if first:
         raise ValueError(f"no terms found in {text!r}")
-    return FormalPolynomial([(tuple(cols), c) for cols, c in terms])
+    return FormalPolynomial(terms)
 
 
 def poly_to_json(p: FormalPolynomial) -> list[dict]:
     return [{"coeff": f"{c.numerator}/{c.denominator}",
-             "monomial": [col.token() for col in mono]}
-            for mono, c in sorted_terms(p)]
+             "monomial": [col.token() for col in mono],
+             "weight": _term_weight(mono)} for mono, c in p.terms.items()]
 
 
 def poly_from_json(data, n: int) -> FormalPolynomial:

@@ -110,6 +110,28 @@ def margin_tl_weight(d, e, f, n):
     return tuple(2 * part(e, i + 1) - ms[2 * i] - ms[2 * i + 1] for i in range(n))
 
 
+def natural_sl2_weight(m):
+    """Diagonal torus weight of a chain: J columns count +1, J' columns -1."""
+    return (sum(1 for c in m.columns if c.kind == "J")
+            - sum(1 for c in m.columns if c.kind == "Jp"))
+
+
+def display_key(mono):
+    """Display order of a polynomial's terms, from the column sets: the
+    filtration weight (entries read as base-(2n+1) digits, top row first,
+    summed over the columns), then the degree, then the columns in
+    descending Birkhoff triples (entry counts at n+1, n and n-1)."""
+    if not mono:
+        return (0, 0, ())
+    n = mono[0].n
+    sets = [c.column_set() for c in mono]
+    weight = sum(e * (2 * n + 1) ** (n - r)
+                 for s in sets for r, e in enumerate(s, start=1))
+    triples = tuple(tuple(-sum(e <= t for e in s) for t in (n + 1, n, n - 1))
+                    for s in sets)
+    return (weight, len(mono), triples)
+
+
 def chain_order_type(m):
     """Position i reads GE if I_i occurs, LE if K_{i-1} occurs, EQ otherwise."""
     present = {(c.kind, c.idx) for c in m.columns}

@@ -314,6 +314,43 @@ def test_byte_identical_output(capsys):
     assert first == second
 
 
+_HUGE_D = ",".join(str(p) for p in range(75, 14, -10))   # 75,65,...,15
+_HUGE_F = ",".join(str(p) for p in range(80, 9, -10))    # 80,70,...,10
+
+
+@pytest.mark.parametrize("argv", [
+    ("mult", _HUGE_D, _HUGE_F, "--n", "8", "--list"),
+    ("mult", _HUGE_D, _HUGE_F, "--n", "8", "--list", "--json"),
+    ("basis", _HUGE_D, _HUGE_F, "--n", "8"),
+    ("basis", _HUGE_D, _HUGE_F, "--n", "8", "--json"),
+    ("degenerate", _HUGE_D, _HUGE_F, "--n", "8"),
+    ("degenerate", _HUGE_D, _HUGE_F, "--n", "8", "--json"),
+])
+def test_listings_past_the_cap_are_refused_before_building(capsys, argv):
+    # Multiplicity 6^7 * 11: listing it took minutes and gigabytes.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "3079296" in err and str(cli.LISTING_CAP) in err
+
+
+def test_count_past_the_cap_is_still_printed(capsys):
+    code, out, _ = run(capsys, "mult", _HUGE_D, _HUGE_F, "--n", "8", "--json")
+    assert code == 0 and json.loads(out)["multiplicity"] == 3079296
+
+
+# Inputs whose straightened forms list many terms, several of equal weight:
+# the pair [I1,K0] ten times, the factors I1, K0, I2, K1 three times each,
+# and two sums with fractional coefficients (the last ties in weight, and in
+# weight and degree, in both its input and its result).
+_MANY_TERMS = [
+    ("[" + ",".join(["I1", "K0"] * 10) + "]", "2"),
+    ("[" + ",".join(["I1", "K0", "I2", "K1"] * 3) + "]", "3"),
+    ("3/2*[I1,K0,I2,K1,J0] - 2/3*[I2,K1,I2,K1,J'2] + 5/7*[I1,K0,J'0]"
+     " - 1/4*[K1,I2,J2,J'1]", "3"),
+    ("[I1,K0] + 2*[J'1,J0] - 1/3*[J'0] + 3/5*[I1,J0] - 7/2*[J1,J1,J'1]"
+     " + 5/4*[I1,J'0] - 4/9*[J1,K0] + [K0,I1,K0,I1]", "2"),
+]
+
 # Fixed argv lists and the sha256 prefix of (exit code, stdout) for each, so
 # any change to what the CLI prints for them fails here.  Every verify run
 # names its seed, so SYMPBRANCH_SEED does not reach these.
@@ -354,6 +391,9 @@ _GOLDEN_ARGV = [
     ("degenerate", "5,3,3,1", "7,6,4,2,1", "--n", "5"),
     ("degenerate", "5,3,3,1", "7,6,4,2,1", "--n", "5", "--json"),
     ("degenerate", "8,3", "10,6,2", "--n", "3"),
+    *[("straighten", expr, "--n", n) + rule + mode
+      for expr, n in _MANY_TERMS for rule in ((), ("--hibi",))
+      for mode in ((), ("--json",))],
 ]
 _GOLDEN_DIGESTS = [
     "ba9c89fbad49bc1a", "f1ca12956cc2513f", "5e08ce23ba1f0202",
@@ -368,6 +408,12 @@ _GOLDEN_DIGESTS = [
     "53c234e5e8472b6a", "53c234e5e8472b6a", "53c234e5e8472b6a",
     "82be65989acde588", "7f73949d2ec8ae77", "48244d92eabb6d75",
     "68e7d88b6b5aa54a", "6a36de711a673f49",
+    "f7a120cd60254dfe", "1daca70e6e73f224", "f030dc40a8f627cc",
+    "72c1d6739e1ac92b", "89f21a7f3ca170be", "0942ddec17d08061",
+    "9fa735661a69e00a", "a99b62717381aac3", "8dc198bb5cc84951",
+    "4da4e4a94e5d69ce", "7497ab659d95b9be", "1a7621ced012b09c",
+    "45d754820984f799", "f2887099a0508eed", "39dcad00bd6b3333",
+    "cb8753830ca49fa0",
 ]
 
 

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_diagonal, leibniz_det, unit_plus
+from conftest import (all_diagrams, dense_diagonal, leibniz_det,
+                      natural_sl2_weight, unit_plus)
 from sympbranch import exacteval
+from sympbranch.diagrams import multiplicity
 from sympbranch.exacteval import (
     ExactMatrix,
     TorusElement,
@@ -41,8 +43,7 @@ from sympbranch.exacteval import (
     verify_torus_weight,
 )
 from sympbranch.lattice import ColumnIndex, elements
-from sympbranch.monomials import (StandardMonomial, enumerate_standard,
-                                  natural_sl2_weight, sample_chain)
+from sympbranch.monomials import StandardMonomial, enumerate_standard, sample_chain
 from sympbranch.straighten import FormalPolynomial
 
 
@@ -475,6 +476,38 @@ def test_chains_scale_by_their_natural_weight():
             for m in monos:
                 assert eval_monomial(m.columns, moved) == \
                     s ** natural_sl2_weight(m) * eval_monomial(m.columns, X)
+
+
+def _without_column(n, seed):
+    """A generic point with column n+1 zero, where every J' and K minor is 0."""
+    X = random_rational_matrix(n, seed)
+    return ExactMatrix([[0 if j == n else x for j, x in enumerate(row)]
+                        for row in X.rows])
+
+
+def test_certificate_blocks_hold_the_chains_of_their_weight(monkeypatch):
+    # With column n+1 zero at every point, a block of the certificate keeps
+    # rank only from its chains of I and J columns.  So each block [w, size,
+    # rank] shows which chains it holds: size counts the chains of natural
+    # weight w, rank those among them with no J' and no K.  A block keyed by
+    # any other weight, such as #J' - #J, disagrees on the asymmetric pairs.
+    monkeypatch.setattr(exacteval, "random_symplectic", _without_column)
+    asymmetric = 0
+    for n in (2, 3):
+        for d in all_diagrams(3, n - 1):
+            for f in all_diagrams(3, n):
+                if not multiplicity(d, f, n):
+                    continue
+                expected = {}
+                for m in enumerate_standard(d, f, n):
+                    w = natural_sl2_weight(m)
+                    block = expected.setdefault(w, [w, 0, 0])
+                    block[1] += 1
+                    block[2] += all(c.kind in ("I", "J") for c in m.columns)
+                blocks = independence_certificate(d, f, n, seed=5)["blocks"]
+                assert blocks == sorted(expected.values()), (d, f, n)
+                asymmetric += blocks != sorted([-w, s, r] for w, s, r in blocks)
+    assert asymmetric > 50
 
 
 def test_independence_failure_names_pair_and_short_blocks(monkeypatch):

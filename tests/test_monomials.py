@@ -8,6 +8,7 @@ from conftest import (
     chains_up_to,
     diagram_pairs,
     incomparable_pair_count,
+    natural_sl2_weight,
     standard_oracle,
     triple_oracle,
 )
@@ -30,7 +31,6 @@ from sympbranch.monomials import (
     from_triple,
     is_chain,
     monomial_triple,
-    natural_sl2_weight,
     sample_chain,
     tableau_of_triple,
     to_tableau,

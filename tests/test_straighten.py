@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import incomparable_pair_count, rewrite_straighten
+from conftest import display_key, incomparable_pair_count, rewrite_straighten
+from sympbranch import cli
+from sympbranch import straighten as straighten_module
 from sympbranch.diagrams import multiplicity
 from sympbranch.exacteval import eval_poly, random_rational_matrix
-from sympbranch.lattice import ColumnIndex, elements
+from sympbranch.lattice import ColumnIndex, elements, join, leq, meet
 from sympbranch.monomials import is_chain, monomial_triple
 from sympbranch.straighten import (
     FormalPolynomial,
@@ -24,7 +27,7 @@ from sympbranch.straighten import (
     parse_poly,
     poly_from_json,
     poly_to_json,
-    sorted_terms,
+    quadratic_relation,
     straighten,
 )
 
@@ -276,9 +279,69 @@ def test_poly_json_round_trip():
     assert poly_to_json(p)[0]["coeff"] == "5/3"
 
 
-def test_sorted_terms_order_is_by_weight():
+def test_terms_are_held_in_weight_order():
     n = 2
     p = two_term_image(1, n)
-    monos = [m for m, _ in sorted_terms(p)]
+    monos = list(p.terms)
     weights = [lattice_weight(m, default_weight_base(n)) for m in monos]
     assert weights == sorted(weights)
+    assert list((-p).terms) == list((3 * p).terms) == monos
+
+
+def test_meet_join_term_is_the_meet_and_join_of_the_pair():
+    for n in range(2, 7):
+        for i in range(1, n):
+            pair, meet_join, skew = quadratic_relation(i, n)
+            assert pair == (C("I", i, n), C("K", i - 1, n))
+            assert not leq(*pair) and not leq(*reversed(pair))
+            assert meet_join == (meet(*pair), join(*pair))
+            assert skew == (C("J", i, n), C("Jp", i - 1, n))
+
+
+@st.composite
+def polynomial_texts(draw):
+    """Rank n and two sums of up to four terms with fractional coefficients."""
+    n = draw(st.integers(2, 4))
+    tokens = [c.token() for c in elements(n)]
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+    mono = st.lists(st.sampled_from(tokens), max_size=6)
+    texts = []
+    for _ in range(2):
+        terms = draw(st.lists(st.tuples(coeff, mono), min_size=1, max_size=4))
+        texts.append(" ".join(f"{'-' if c < 0 else '+'} {abs(c)}*[{','.join(m)}]"
+                              for c, m in terms))
+    return n, *texts
+
+
+@settings(max_examples=150)
+@given(polynomial_texts(), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_terms_follow_the_display_oracle(texts, scalar):
+    # The oracle orders by weight from the column sets, then degree, then
+    # Birkhoff triples; every way to make a polynomial must list its terms
+    # in that order, ties and all.
+    n, first, second = texts
+    p, q = parse_poly(first, n), parse_poly(second, n)
+    made = [p, q, p + q, p - q, -p, scalar * p, p * scalar, p * q,
+            straighten(p), straighten(p * q), hibi_normal_form(p + q)]
+    for r in made:
+        keys = [display_key(m) for m in r.terms]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert format_poly(r) == format_poly(FormalPolynomial(
+            reversed(list(r.terms.items()))))
+
+
+@pytest.mark.parametrize("hibi", [(), ("--hibi",)])
+def test_straighten_sorts_each_term_once(monkeypatch, capsys, hibi):
+    # Terms are put in display order once, when a polynomial is made: one
+    # key per input term when parsed, one per result term when rewritten.
+    calls = []
+    key = straighten_module._term_sort_key
+    monkeypatch.setattr(straighten_module, "_term_sort_key",
+                        lambda mono: calls.append(mono) or key(mono))
+    for expr, n in (("[I1,K0]", 2), ("[I1,K0,I1,K0,I1,K0]", 2),
+                    ("2*[I2,K1,I1,K0] - 3/2*[J0] + [K1,I2,J'1]", 3)):
+        inputs = len(parse_poly(expr, n).terms)
+        calls.clear()
+        assert cli.main(["straighten", expr, "--n", str(n), "--json", *hibi]) == 0
+        results = len(json.loads(capsys.readouterr().out)["terms"])
+        assert len(calls) == inputs + results
