@@ -1,20 +1,28 @@
 """Exact evaluation of the minor generators and randomized identity checks.
 
-Everything here is rational arithmetic on small matrices.  Generators are
-top-left minors, and minors and ranks both come from one fraction-free
-(Bareiss) elimination over the integers.  Group elements act without building
-their factors (so sampled ones are exactly symplectic): a square-zero root
-exponential 1 + c E_ij adds c times column i to column j, and a torus element
-scales columns, or rows and columns when it acts on both sides.  Points are
-sampled in integers over one denominator per column, then wrapped.  A check
-builds its moved point once per trial and compares one generator table there
-with one at X.  ``verify relations`` checks the relations that ``straighten``
-applies: it reads each from ``straighten.quadratic_relation`` and multiplies
-its factors' values from one generator table.
+Everything here is exact arithmetic on small matrices.  Generators are
+top-left minors.  All 4n-2 of them come from one fraction-free (Bareiss)
+sweep of the top n rows in integers (``_minor_sweep``), with one elimination
+per minor when a leading minor is zero; ``delta_table`` scales rational rows
+to integers first and divides the scales back out.  Group elements act
+without building their factors (so sampled ones are exactly symplectic): a
+square-zero root exponential 1 + c E_ij adds c times column i to column j, and
+a torus element scales columns, or rows and columns when it acts on both
+sides.  Points are sampled in integers over one denominator per column, then
+wrapped.  A check builds its moved point once per trial and compares one
+generator table there with one at X.  ``verify relations`` checks the
+relations that ``straighten`` applies: it reads each from
+``straighten.quadratic_relation`` and multiplies its factors' values from one
+generator table.  The independence certificate never wraps: its rows are
+integer chain values from the sampled integer rows, one scale per weight
+block and point, and a block is ranked modulo the prime 2^61 - 1, with an
+exact rank of the same integer rows when that falls short (a rank modulo a
+prime is never more than over Q, so a full one is a proof).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -139,9 +147,60 @@ def eval_poly(p: FormalPolynomial, X: ExactMatrix) -> Fraction:
                 for mono, coeff in p.terms.items()), _ZERO)
 
 
+@functools.cache
+def _generators(n: int) -> tuple[ColumnIndex, ...]:
+    """``elements(n)``: the order of ``_minor_sweep``'s output."""
+    return tuple(elements(n))
+
+
+def _minor_sweep(rows, n: int) -> list[int]:
+    """All 4n-2 generator minors of integer rows, in ``elements(n)`` order.
+
+    One Bareiss sweep over columns 1..n-1 carries columns n and n+1 along.
+    By Sylvester's identity, after k steps entry (i, j) is the minor on rows
+    1..k, i and columns 1..k, j, so row k+1 holds I_{k+1}, J_k and J'_k, and
+    K_k is the 2 x 2 minor of rows k+1, k+2 in columns n, n+1 divided by the
+    k-th pivot I_k.  A zero pivot leaves one elimination per minor."""
+    a = [list(row[:n + 1]) for row in rows[:n]]
+    i_, k_, prev = [1], [], 1
+    for k in range(n - 1):
+        row, below = a[k], a[k + 1]
+        k_.append((row[n - 1] * below[n] - row[n] * below[n - 1]) // prev)
+        pivot = row[k]
+        if not pivot:
+            return _minors_one_by_one(rows, n)
+        i_.append(pivot)
+        for other in a[k + 1:]:
+            lead = other[k]
+            other[k + 1:] = [(x * pivot - lead * y) // prev
+                             for x, y in zip(other[k + 1:], row[k + 1:])]
+        prev = pivot
+    out = []
+    for k in range(n - 1, 0, -1):
+        out += a[k][n - 1], a[k][n], k_[k - 1], i_[k]
+    return out + a[0][n - 1:]
+
+
+def _minors_one_by_one(rows, n: int) -> list[int]:
+    """``_minor_sweep``'s output with one elimination per minor."""
+    return [int(det([[row[j - 1] for j in c.column_set()]
+                     for row in rows[:c.size()]])) for c in _generators(n)]
+
+
 def delta_table(n: int, X: ExactMatrix) -> dict[ColumnIndex, Fraction]:
-    """All generator values at one point; lets chains multiply cached minors."""
-    return {c: delta(c, X) for c in elements(n)}
+    """All generator values at one point from one ``_minor_sweep``: the top
+    n rows are scaled to integers once, and a minor on the top k rows is
+    divided by the product of their k scales."""
+    if X.size != 2 * n:
+        raise ValueError(f"matrix size {X.size} does not match rank {n}")
+    top, scales = [], [1]
+    for row in X.rows[:n]:
+        row = row[:n + 1]
+        s = math.lcm(*(x.denominator for x in row))
+        top.append([x.numerator * (s // x.denominator) for x in row])
+        scales.append(scales[-1] * s)
+    return {c: Fraction(v, scales[c.size()])
+            for c, v in zip(_generators(n), _minor_sweep(top, n))}
 
 
 # --- exact group elements ----------------------------------------------------
@@ -242,6 +301,12 @@ def random_symplectic(n: int, seed: int, factors: int | None = None) -> ExactMat
     points to certify rank statements.  Every output preserves the
     symplectic form exactly.
     """
+    return _wrap(*_sample_symplectic(n, seed, factors))
+
+
+def _sample_symplectic(n: int, seed: int, factors: int | None = None):
+    """``random_symplectic`` before wrapping: integer rows num and column
+    denominators q, entry (r, j) = num[r][j] / q_j."""
     if n < 2:
         raise ValueError(f"rank must be at least 2, got {n}")
     rng = random.Random(seed)
@@ -259,7 +324,7 @@ def random_symplectic(n: int, seed: int, factors: int | None = None) -> ExactMat
         else:
             a, b = rng.randint(1, n), rng.randint(1, n)
             _root_step(num, q, (_upper_root if kind == 2 else _lower_root)(n, a, b, c))
-    return _wrap(num, q)
+    return num, q
 
 
 def embed_subgroup(M: ExactMatrix, n: int) -> ExactMatrix:
@@ -407,6 +472,49 @@ def verify_generator_weight(tdiag, sdiag, X: ExactMatrix) -> list[ColumnIndex]:
     return [m.columns[0] for m in misses]
 
 
+def _weight_blocks(d, f, n: int):
+    """The standard monomials of shape f/d and their SL2 weight blocks: weight
+    (the sum of ``diagrams.tl_weights``) -> positions of its chains."""
+    middles = diagrams.enumerate_middle(d, f, n)
+    monos = build_chains(d, f, n, middles)
+    weights = diagrams.tl_weights(diagrams.middle_ranges(d, f, n), middles)
+    blocks: dict[int, list[int]] = {}
+    for k, w in enumerate(weights):
+        blocks.setdefault(sum(w), []).append(k)
+    return monos, blocks
+
+
+_PRIME = 2 ** 61 - 1
+
+
+def _rank_mod_p(rows) -> int:
+    """Rank of integer rows modulo ``_PRIME``: never more than over Q."""
+    p = _PRIME
+    work = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, len(work)) if work[r][c]), None)
+        if pivot is None:
+            continue
+        top = work[pivot]
+        inv = pow(top[c], -1, p)
+        top = [x * inv % p for x in top]
+        work[pivot], work[rank] = work[rank], top
+        for r in range(rank + 1, len(work)):
+            lead = work[r][c]
+            if lead:
+                work[r] = [(x - lead * y) % p for x, y in zip(work[r], top)]
+        rank += 1
+    return rank
+
+
+def _block_rank(rows) -> int:
+    """Rank over Q of integer rows: modulo ``_PRIME``, or by ``exact_rank`` on
+    the same rows when that falls short of full rank."""
+    rank = _rank_mod_p(rows)
+    return rank if rank == min(len(rows), len(rows[0])) else exact_rank(rows)
+
+
 def independence_certificate(d, f, n: int, seed: int = 0, trials: int = 3) -> dict:
     """Certify that the standard monomials of shape f/d are independent on
     Sp(2n), one SL2 weight block at a time.
@@ -420,29 +528,33 @@ def independence_certificate(d, f, n: int, seed: int = 0, trials: int = 3) -> di
     block is, and a block is when its values at sampled points have full
     column rank.
 
+    A sampled point is integer rows num over column denominators q_j, so a
+    generator is an integer minor of num over the product of the q_j of its
+    columns, and a chain is an integer product over prod_j q_j^mu_j, mu_j
+    its columns that hold j.  The mu_j of a chain are fixed by the pair and
+    its weight, so a block's values are its integer values times one nonzero
+    scale per point, and both have one rank: ``_block_rank`` of the integers.
+
     Each trial samples (largest block + 2) points and ranks each block not
     yet full.  ``rank`` sums the block ranks, ``blocks`` lists
     [weight, size, rank], and a failure's witness names the pair and each
     block that fell short.
     """
     d, f = diagrams.normalize(d), diagrams.normalize(f)
-    middles = diagrams.enumerate_middle(d, f, n)
-    monos = build_chains(d, f, n, middles)
-    weights = diagrams.tl_weights(diagrams.middle_ranges(d, f, n), middles)
-    blocks: dict[int, list[int]] = {}
-    for k, w in enumerate(weights):
-        blocks.setdefault(sum(w), []).append(k)
+    monos, blocks = _weight_blocks(d, f, n)
+    slot = {c: k for k, c in enumerate(_generators(n))}
+    chains = [[slot[c] for c in m.columns] for m in monos]
     ranks = dict.fromkeys(blocks, 0)
     width = max(map(len, blocks.values()), default=0) + 2
     rng = random.Random(seed)
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     while sum(ranks.values()) < len(monos) and len(rows) < trials * width:
         for _ in range(width):
-            table = delta_table(n, random_symplectic(n, rng.getrandbits(64)))
-            rows.append([math.prod(table[c] for c in m.columns) for m in monos])
+            minors = _minor_sweep(_sample_symplectic(n, rng.getrandbits(64))[0], n)
+            rows.append([math.prod([minors[k] for k in chain]) for chain in chains])
         for w, cols in blocks.items():
             if ranks[w] < len(cols):
-                ranks[w] = exact_rank([[row[k] for k in cols] for row in rows])
+                ranks[w] = _block_rank([[row[k] for k in cols] for row in rows])
     report = [[w, len(cols), ranks[w]] for w, cols in sorted(blocks.items())]
     rank = sum(ranks.values())
     cert = {"ok": rank == len(monos), "rank": rank, "monomials": len(monos),

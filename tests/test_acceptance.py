@@ -270,3 +270,18 @@ def test_criterion_9_tensor_dimension_consistency():
                     ok = False
     report("criterion 9: tensor factor product equals the multiplicity",
            ok, f"{pairs} pairs")
+
+
+def test_criterion_10_basis_theorem_at_scale():
+    # Values only: the time is printed, not asserted.
+    start = time.perf_counter()
+    results = []
+    for d, f, n in (((6, 5, 4, 3, 2, 1), (7, 6, 5, 4, 3, 2, 1), 7),
+                    ((8, 6, 4, 2), (10, 8, 6, 4, 2), 5)):
+        cert = independence_certificate(d, f, n)
+        results.append((cert["ok"], cert["rank"], cert["monomials"],
+                        multiplicity(d, f, n)))
+    elapsed = time.perf_counter() - start
+    report("criterion 10: exact independence at multiplicity 128 and 243",
+           results == [(True, 128, 128, 128), (True, 243, 243, 243)],
+           f"{results}, {elapsed:.2f} s")

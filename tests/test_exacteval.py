@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from sympbranch.exacteval import (
     ExactMatrix,
     TorusElement,
     _diag_root,
+    _identity_rows,
     _lower_root,
     _root_step,
     _scaled,
@@ -158,6 +160,41 @@ def test_elimination_is_the_same_on_ints_fractions_and_mixed_rows(data):
     assert det(third) == expected / 3
 
 
+_PRIME_MULTIPLES = st.sampled_from([1, 1, 1, 2, -3, exacteval._PRIME,
+                                     -2 * exacteval._PRIME])
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_rank_mod_p_never_exceeds_exact_rank(data):
+    # Rows are integer combinations of a few random rows (low rank), with
+    # some rows scaled by multiples of the prime (zero modulo it but not
+    # over Q).  The rank modulo the prime is a lower bound, and the block
+    # rank, which falls back to exact_rank when it is short, is exact.
+    rows_n, cols_n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    basis = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols_n,
+                                        max_size=cols_n),
+                               min_size=1, max_size=cols_n))
+    rows = []
+    for _ in range(rows_n):
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(basis),
+                                    max_size=len(basis)))
+        scale = data.draw(_PRIME_MULTIPLES)
+        rows.append([scale * sum(c * b[j] for c, b in zip(coeffs, basis))
+                     for j in range(cols_n)])
+    exact = exact_rank(rows)
+    assert exacteval._rank_mod_p(rows) <= exact == _rank_oracle(rows)
+    assert exacteval._block_rank(rows) == exact
+
+
+def test_rank_mod_p_falls_short_on_multiples_of_the_prime():
+    p = exacteval._PRIME
+    rows = [[1, 2], [p, 3 * p]]
+    assert exacteval._rank_mod_p(rows) == 1 and exact_rank(rows) == 2
+    assert exacteval._block_rank(rows) == 2
+    assert exacteval._rank_mod_p([[p + 1, 2], [1, p + 2]]) == 1
+
+
 def test_delta_examples():
     n = 3
     eye = ExactMatrix.identity(2 * n)
@@ -170,6 +207,35 @@ def test_delta_examples():
     assert k0 == rows[0][n - 1] * rows[1][n] - rows[0][n] * rows[1][n - 1]
     with pytest.raises(ValueError):
         delta(ColumnIndex("I", 1, 2), eye)
+
+
+def test_minor_sweep_matches_each_minor(monkeypatch):
+    # The sweep reads every generator off one elimination of the top rows;
+    # entries in -2..2 make zero leading minors common, so some drawn cases
+    # take the one-elimination-per-minor fallback.
+    fallbacks = []
+    one_by_one = exacteval._minors_one_by_one
+
+    def recording(rows, n):
+        fallbacks.append(n)
+        return one_by_one(rows, n)
+
+    monkeypatch.setattr(exacteval, "_minors_one_by_one", recording)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 6))
+        rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=2 * n,
+                                           max_size=2 * n),
+                                  min_size=2 * n, max_size=2 * n))
+        expected = [leibniz_det([[row[j - 1] for j in c.column_set()]
+                                 for row in rows[:c.size()]])
+                    for c in elements(n)]
+        assert exacteval._minor_sweep(rows, n) == expected
+
+    check()
+    assert fallbacks
 
 
 def test_eval_monomial_and_poly():
@@ -479,10 +545,13 @@ def test_chains_scale_by_their_natural_weight():
 
 
 def _without_column(n, seed):
-    """A generic point with column n+1 zero, where every J' and K minor is 0."""
-    X = random_rational_matrix(n, seed)
-    return ExactMatrix([[0 if j == n else x for j, x in enumerate(row)]
-                        for row in X.rows])
+    """A generic point with column n+1 zero, where every J' and K minor is 0,
+    as integer rows over one denominator per column."""
+    cols = list(zip(*random_rational_matrix(n, seed).rows))
+    q = [math.lcm(*(x.denominator for x in col)) for col in cols]
+    num = [[0 if j == n else int(x * q[j]) for j, x in enumerate(row)]
+           for row in zip(*cols)]
+    return num, q
 
 
 def test_certificate_blocks_hold_the_chains_of_their_weight(monkeypatch):
@@ -491,7 +560,7 @@ def test_certificate_blocks_hold_the_chains_of_their_weight(monkeypatch):
     # rank] shows which chains it holds: size counts the chains of natural
     # weight w, rank those among them with no J' and no K.  A block keyed by
     # any other weight, such as #J' - #J, disagrees on the asymmetric pairs.
-    monkeypatch.setattr(exacteval, "random_symplectic", _without_column)
+    monkeypatch.setattr(exacteval, "_sample_symplectic", _without_column)
     asymmetric = 0
     for n in (2, 3):
         for d in all_diagrams(3, n - 1):
@@ -514,8 +583,8 @@ def test_independence_failure_names_pair_and_short_blocks(monkeypatch):
     # Every chain of this pair vanishes at the identity, so with the identity
     # as every point each block falls short, and the witness must say which
     # pair and which blocks, and replay from its seed.
-    monkeypatch.setattr(exacteval, "random_symplectic",
-                        lambda n, seed: ExactMatrix.identity(2 * n))
+    monkeypatch.setattr(exacteval, "_sample_symplectic",
+                        lambda n, seed: (_identity_rows(2 * n), [1] * (2 * n)))
     report = independence_suite(2, 0, 1, d=(1,), f=(2, 1))
     assert len(report["failures"]) == 1
     failure = report["failures"][0]
@@ -526,6 +595,57 @@ def test_independence_failure_names_pair_and_short_blocks(monkeypatch):
     assert failure["seed"] == witness["seed"]
     replay = independence_certificate((1,), (2, 1), 2, failure["seed"], 1)
     assert replay["witness"] == witness
+
+
+def test_certificate_at_a_small_prime_falls_back_to_exact_rank(monkeypatch):
+    # Modulo 3 most blocks fall short, so the certificate must reach the same
+    # rank, blocks and verdict through exact_rank on the same integer rows.
+    fallbacks = []
+
+    def counting(rows):
+        fallbacks.append(len(rows))
+        return exact_rank(rows)
+
+    pairs = [(d, f, n) for n in (2, 3)
+             for d in exacteval._diagrams_up_to(exacteval._MAX_PART, n - 1)
+             for f in exacteval._diagrams_up_to(exacteval._MAX_PART, n)
+             if multiplicity(d, f, n)]
+    fields = ("ok", "rank", "blocks")
+    real = [[independence_certificate(d, f, n, seed=k)[x] for x in fields]
+            for k, (d, f, n) in enumerate(pairs)]
+    monkeypatch.setattr(exacteval, "_PRIME", 3)
+    monkeypatch.setattr(exacteval, "exact_rank", counting)
+    small = [[independence_certificate(d, f, n, seed=k)[x] for x in fields]
+             for k, (d, f, n) in enumerate(pairs)]
+    assert small == real and all(ok for ok, _, _ in real)
+    assert len(fallbacks) > len(pairs)
+
+
+def test_blocks_share_one_scale_per_point():
+    # A chain's value at a sampled point is its integer value (minors of num)
+    # over prod_j q_j^mu_j, and mu_j is the same for every chain of a weight
+    # block, so a block ranks as integers.  Blocks that mixed weights would
+    # mix scales.
+    gens = exacteval._generators
+    for n in (2, 3, 4):
+        for d in all_diagrams(3, n - 1):
+            for f in all_diagrams(3, n):
+                if not multiplicity(d, f, n):
+                    continue
+                monos, blocks = exacteval._weight_blocks(d, f, n)
+                for seed in range(2):
+                    num, q = exacteval._sample_symplectic(n, 100 * n + seed)
+                    table = delta_table(n, exacteval._wrap(num, q))
+                    ints = dict(zip(gens(n), exacteval._minor_sweep(num, n)))
+                    for cols in blocks.values():
+                        scales = set()
+                        for k in cols:
+                            columns = monos[k].columns
+                            whole = math.prod(ints[c] for c in columns)
+                            assert whole, (d, f, n, seed)
+                            scales.add(math.prod(table[c] for c in columns)
+                                       / whole)
+                        assert len(scales) == 1, (d, f, n, seed)
 
 
 def test_suites_pass_and_report_shape():

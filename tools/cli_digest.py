@@ -5,7 +5,8 @@ Run from a checkout with ``python tools/cli_digest.py``.  For each workload of
 1, 7 and 101, runs every op through ``sympbranch.cli.main`` in this process,
 once as written and once more without ``--json``, and hashes each (exit code,
 stdout) in order.  Two checkouts that print the same digests print the same
-bytes for all of those ops.  Standard library only; no options.
+bytes for all of those ops.  ``tools/cli_digests.txt`` holds the expected
+output, and CI diffs the two.  Standard library only; no options.
 """
 
 from __future__ import annotations
