@@ -2,7 +2,6 @@
 
 from sympbranch import diagrams, exacteval, hibi, lattice, monomials, straighten  # noqa: F401
 from sympbranch.exacteval import ExactMatrix, TorusElement
-from sympbranch.hibi import PatternMap
 from sympbranch.lattice import ColumnIndex
 from sympbranch.monomials import StandardMonomial, Tableau
 from sympbranch.straighten import FormalPolynomial
@@ -10,7 +9,7 @@ from sympbranch.straighten import FormalPolynomial
 __version__ = "0.1.0"
 
 __all__ = [
-    "ColumnIndex", "ExactMatrix", "FormalPolynomial", "PatternMap",
+    "ColumnIndex", "ExactMatrix", "FormalPolynomial",
     "StandardMonomial", "Tableau", "TorusElement",
     "diagrams", "exacteval", "hibi", "lattice", "monomials", "straighten",
 ]

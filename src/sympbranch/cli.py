@@ -19,7 +19,8 @@ from sympbranch.diagrams import normalize, order_type_str
 
 SCHEMA = "1"
 
-LISTING_CAP = 100_000  # the most middle diagrams a command lists
+# The most middle diagrams, or straightened terms, that a command lists.
+LISTING_CAP = 100_000
 
 
 def _parse_diagram(text: str) -> tuple[int, ...]:
@@ -115,6 +116,9 @@ def _cmd_basis(args) -> int:
 
 def _cmd_straighten(args) -> int:
     poly = straighten.parse_poly(args.expr, args.n)
+    if not args.hibi and (count := straighten.expansion_size(poly)) > LISTING_CAP:
+        raise ValueError(f"straightening makes {count} terms, over the listing "
+                         f"cap {LISTING_CAP}")
     base = straighten.default_weight_base(args.n)
     result = (straighten.hibi_normal_form(poly) if args.hibi
               else straighten.straighten(poly))
@@ -162,9 +166,10 @@ def _cmd_degenerate(args) -> int:
     d, f, n = _parse_diagram(args.D), _parse_diagram(args.F), args.n
     middles = _middles(d, f, n)
     chains = zip(monomials.build_chains(d, f, n, middles),
-                 (hibi.pattern_of_triple(d, e, f, n) for e in middles))
+                 (hibi.pattern_rows(d, e, f, n) for e in middles))
     if args.json:
-        entries = [{"monomial": m.tokens(), **p.to_json()} for m, p in chains]
+        entries = [{"monomial": m.tokens(), "top": top, "mid": mid, "bot": bot}
+                   for m, (top, mid, bot) in chains]
         print(_dumps({"schema": SCHEMA, "command": "degenerate", "n": n,
                       "D": d, "F": f, "count": len(middles),
                       "margin_count": len(middles), "patterns": entries}))

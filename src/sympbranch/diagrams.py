@@ -35,14 +35,6 @@ def transpose(d: Diagram) -> Diagram:
     return tuple(sum(1 for p in d if p >= c) for c in range(1, part(d, 1) + 1))
 
 
-def interlaces(d, f) -> bool:
-    """Whether d interlaces f: f_i >= d_i >= f_{i+1} for all i."""
-    d, f = normalize(d), normalize(f)
-    top = max(len(d), len(f))
-    return all(part(f, i) >= part(d, i) >= part(f, i + 1)
-               for i in range(1, top + 1))
-
-
 def _check_pair(d: Diagram, f: Diagram, n: int):
     if n < 2:
         raise ValueError(f"rank must be at least 2, got {n}")
@@ -50,15 +42,6 @@ def _check_pair(d: Diagram, f: Diagram, n: int):
         raise ValueError(f"diagram {d} has more than n-1 = {n - 1} rows")
     if len(f) > n:
         raise ValueError(f"diagram {f} has more than n = {n} rows")
-
-
-def check_triple(d: Diagram, e: Diagram, f: Diagram, n: int):
-    """Reject normalized (d, e, f) unless it is doubly interlacing at rank n."""
-    _check_pair(d, f, n)
-    if len(e) > n:
-        raise ValueError(f"middle diagram {e} has more than n = {n} rows")
-    if not (interlaces(d, e) and interlaces(e, f)):
-        raise ValueError(f"({d}, {e}, {f}) is not doubly interlacing")
 
 
 def middle_ranges(d, f, n: int) -> list[range]:
@@ -95,26 +78,8 @@ def order_type_of(d, f, n: int) -> tuple[str, ...]:
     return tuple(word)
 
 
-def satisfies(word, sigma) -> bool:
-    """Whether a generalized order type satisfies a strict one (= fits both)."""
-    return all(w == EQ or w == s for w, s in zip(word, sigma, strict=True))
-
-
 def order_type_str(word) -> str:
     return "".join(word)
-
-
-def parse_order_type(text: str) -> tuple[str, ...]:
-    word, pos = [], 0
-    while pos < len(text):
-        for sym in (GE, LE, EQ):
-            if text.startswith(sym, pos):
-                word.append(sym)
-                pos += len(sym)
-                break
-        else:
-            raise ValueError(f"cannot parse order type {text!r} at offset {pos}")
-    return tuple(word)
 
 
 def tensor_factors(d, f, n: int) -> tuple[int, ...]:
@@ -131,10 +96,3 @@ def tl_weights(ranges, middles) -> list[tuple[int, ...]]:
     sums = [r.start + r.stop - 1 for r in ranges]
     return [tuple(2 * x - s for x, s in zip(e + (0,) * len(sums), sums))
             for e in middles]
-
-
-def tl_weight(d, e, f, n: int) -> tuple[int, ...]:
-    """Torus exponent vector of a doubly interlacing triple."""
-    d, e, f = normalize(d), normalize(e), normalize(f)
-    check_triple(d, e, f, n)
-    return tl_weights(middle_ranges(d, f, n), [e])[0]

@@ -1,14 +1,16 @@
 """Exact evaluation of the minor generators and randomized identity checks.
 
 Everything here is exact arithmetic on small matrices.  Generators are
-top-left minors.  All 4n-2 of them come from one fraction-free (Bareiss)
-sweep of the top n rows in integers (``_minor_sweep``), with one elimination
-per minor when a leading minor is zero; ``delta_table`` scales rational rows
-to integers first and divides the scales back out.  Group elements act
+top-left minors, evaluated all together and never one at a time: the 4n-2
+of them come from one fraction-free (Bareiss) sweep of the top n rows in
+integers (``_minor_sweep``), with one elimination per minor when a leading
+minor is zero; ``delta_table`` scales rational rows to integers first and
+divides the scales back out.  Group elements act
 without building their factors (so sampled ones are exactly symplectic): a
 square-zero root exponential 1 + c E_ij adds c times column i to column j, and
 a torus element scales columns, or rows and columns when it acts on both
-sides.  Points are sampled in integers over one denominator per column, then
+sides.  Points are sampled in integers over one denominator per column, only
+the rows that the caller reads (the certificate reads the top n), then
 wrapped.  A check builds its moved point once per trial and compares one
 generator table there with one at X.  ``verify relations`` checks the
 relations that ``straighten`` applies: it reads each from
@@ -32,7 +34,7 @@ from sympbranch import diagrams
 from sympbranch.lattice import ColumnIndex, elements
 from sympbranch.monomials import (StandardMonomial, build_chains,
                                   monomial_triple, sample_chain)
-from sympbranch.straighten import FormalPolynomial, quadratic_relation
+from sympbranch.straighten import quadratic_relation
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -52,10 +54,6 @@ class ExactMatrix:
         if any(len(row) != len(self.rows) for row in self.rows):
             raise ValueError("matrix must be square")
 
-    @classmethod
-    def identity(cls, size: int) -> "ExactMatrix":
-        return cls(_identity_rows(size))
-
     @property
     def size(self) -> int:
         return len(self.rows)
@@ -66,9 +64,6 @@ class ExactMatrix:
         cols = list(zip(*other.rows))
         return ExactMatrix([[sum(a * b for a, b in zip(row, col))
                              for col in cols] for row in self.rows])
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.rows)))
 
     def __eq__(self, other):
         return isinstance(other, ExactMatrix) and self.rows == other.rows
@@ -130,23 +125,6 @@ def exact_rank(rows) -> int:
 
 # --- generator evaluation ----------------------------------------------------
 
-def delta(c: ColumnIndex, X: ExactMatrix) -> Fraction:
-    """Determinant of the top rows against the columns of c."""
-    if X.size != 2 * c.n:
-        raise ValueError(f"matrix size {X.size} does not match rank {c.n}")
-    cset = c.column_set()
-    return det([[X.rows[i][j - 1] for j in cset] for i in range(len(cset))])
-
-
-def eval_monomial(mono, X: ExactMatrix) -> Fraction:
-    return math.prod((delta(c, X) for c in mono), start=_ONE)
-
-
-def eval_poly(p: FormalPolynomial, X: ExactMatrix) -> Fraction:
-    return sum((coeff * eval_monomial(mono, X)
-                for mono, coeff in p.terms.items()), _ZERO)
-
-
 @functools.cache
 def _generators(n: int) -> tuple[ColumnIndex, ...]:
     """``elements(n)``: the order of ``_minor_sweep``'s output."""
@@ -204,23 +182,6 @@ def delta_table(n: int, X: ExactMatrix) -> dict[ColumnIndex, Fraction]:
 
 
 # --- exact group elements ----------------------------------------------------
-
-def symplectic_form(n: int) -> ExactMatrix:
-    """The block form [[0, Q], [-Q, 0]] with Q the antidiagonal of ones."""
-    size = 2 * n
-    rows = [[_ZERO] * size for _ in range(size)]
-    for a in range(1, n + 1):
-        rows[a - 1][n + (n + 1 - a) - 1] = _ONE
-        rows[n + a - 1][(n + 1 - a) - 1] = -_ONE
-    return ExactMatrix(rows)
-
-
-def is_symplectic(X: ExactMatrix) -> bool:
-    if X.size % 2:
-        raise ValueError("symplectic matrices have even size")
-    form = symplectic_form(X.size // 2)
-    return X.transpose() @ form @ X == form
-
 
 @dataclass(frozen=True)
 class TorusElement:
@@ -301,17 +262,18 @@ def random_symplectic(n: int, seed: int, factors: int | None = None) -> ExactMat
     points to certify rank statements.  Every output preserves the
     symplectic form exactly.
     """
-    return _wrap(*_sample_symplectic(n, seed, factors))
+    return _wrap(*_sample_symplectic(n, seed, 2 * n, factors))
 
 
-def _sample_symplectic(n: int, seed: int, factors: int | None = None):
-    """``random_symplectic`` before wrapping: integer rows num and column
-    denominators q, entry (r, j) = num[r][j] / q_j."""
+def _sample_symplectic(n: int, seed: int, rows: int, factors: int | None = None):
+    """The top ``rows`` rows of ``random_symplectic`` before wrapping: integer
+    rows num and column denominators q, entry (r, j) = num[r][j] / q_j.  The
+    factors only combine and scale columns, so fewer rows draw the same."""
     if n < 2:
         raise ValueError(f"rank must be at least 2, got {n}")
     rng = random.Random(seed)
     count = rng.randint(4, 6) * (n * (n + 1) // 2) if factors is None else factors
-    num, q = _identity_rows(2 * n), [1] * (2 * n)
+    num, q = _identity_rows(2 * n)[:rows], [1] * (2 * n)
     for _ in range(count):
         kind = rng.randrange(4)
         if kind == 0:
@@ -550,7 +512,8 @@ def independence_certificate(d, f, n: int, seed: int = 0, trials: int = 3) -> di
     rows: list[list[int]] = []
     while sum(ranks.values()) < len(monos) and len(rows) < trials * width:
         for _ in range(width):
-            minors = _minor_sweep(_sample_symplectic(n, rng.getrandbits(64))[0], n)
+            num, _ = _sample_symplectic(n, rng.getrandbits(64), n)
+            minors = _minor_sweep(num, n)
             rows.append([math.prod([minors[k] for k in chain]) for chain in chains])
         for w, cols in blocks.items():
             if ranks[w] < len(cols):

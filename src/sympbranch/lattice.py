@@ -102,20 +102,6 @@ def parse_column(text: str, n: int) -> ColumnIndex:
     raise ValueError(f"cannot parse column token {text!r}")
 
 
-def column_from_set(entries, n: int) -> ColumnIndex:
-    """Classify a subset of {1, ..., n+1} as a lattice element."""
-    s = sorted(entries)
-    if len(set(s)) != len(s):
-        raise ValueError(f"repeated entries in column set {s}")
-    if s and not 1 <= s[0] <= s[-1] <= n + 1:
-        raise ValueError(f"entries of {s} outside 1..{n + 1}")
-    prefix = [e for e in s if e <= n - 1]
-    if prefix != list(range(1, len(prefix) + 1)):
-        raise ValueError(f"{s} is not of the form prefix + {{n, n+1}} flags")
-    kind = _KIND_BY_FLAGS[(n in s, n + 1 in s)]
-    return ColumnIndex(kind, len(prefix), n)
-
-
 def _check_same_rank(a: ColumnIndex, b: ColumnIndex):
     if a.n != b.n:
         raise ValueError(f"rank mismatch: {a!r} vs {b!r}")
@@ -125,10 +111,6 @@ def leq(a: ColumnIndex, b: ColumnIndex) -> bool:
     """Whether a precedes b (or a == b) in the lattice order."""
     _check_same_rank(a, b)
     return all(x >= y for x, y in zip(a.ones_triple(), b.ones_triple()))
-
-
-def comparable(a: ColumnIndex, b: ColumnIndex) -> bool:
-    return leq(a, b) or leq(b, a)
 
 
 def from_ones(triple, n: int) -> ColumnIndex:

@@ -3,7 +3,9 @@ A chain of shape F/D is rest(D, F), its I and K columns, times
 J_{i-1}^(e_i - lo_i) J'_{i-1}^(hi_i - e_i) over the middle ranges.  Its
 tableau is the Gelfand-Tsetlin pattern (F, E, D) read row by row: row k
 holds d_k entries k, then e_k - d_k entries n, then f_k - e_k entries n+1
-(d_n = 0, so row n holds only n and n+1)."""
+(d_n = 0, so row n holds only n and n+1).  ``build_chains`` writes each
+chain's columns in ``ColumnIndex.sort_key`` order as it builds them, so its
+chains skip the public constructor's sort and chain check."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from sympbranch import diagrams
-from sympbranch.diagrams import Diagram, normalize, part, transpose
+from sympbranch.diagrams import Diagram, transpose
 from sympbranch.lattice import ColumnIndex
 
 
@@ -31,6 +33,14 @@ class StandardMonomial:
                 raise ValueError(f"column {c!r} has rank {c.n}, expected {self.n}")
         if not is_chain(cols):
             raise ValueError(f"{self} holds some I_i with K_(i-1): not a chain")
+
+    @classmethod
+    def _in_order(cls, cols: tuple[ColumnIndex, ...], n: int) -> "StandardMonomial":
+        """A chain from columns already in ``sort_key`` order, unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "columns", cols)
+        object.__setattr__(m, "n", n)
+        return m
 
     def tokens(self) -> list[str]:
         return [c.token() for c in self.columns]
@@ -52,19 +62,6 @@ class Tableau:
         object.__setattr__(self, "rows",
                            tuple(tuple(row) for row in self.rows if len(row)))
 
-    def is_semistandard(self) -> bool:
-        lengths = tuple(map(len, self.rows))
-        if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
-            return False
-        for row in self.rows:
-            if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
-                return False
-        for c in range(part(lengths, 1)):
-            col = [row[c] for row in self.rows if len(row) > c]
-            if any(col[r] >= col[r + 1] for r in range(len(col) - 1)):
-                return False
-        return True
-
     def __str__(self):
         return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
 
@@ -82,10 +79,6 @@ def tableau_of_triple(d: Diagram, e: Diagram, f: Diagram, n: int) -> Tableau:
     pad = (0,) * len(f)
     return Tableau(tuple((k,) * dk + (n,) * (ek - dk) + (n + 1,) * (fk - ek)
                          for k, fk, ek, dk in zip(count(1), f, e + pad, d + pad)))
-
-
-def to_tableau(m: StandardMonomial) -> Tableau:
-    return tableau_of_triple(*monomial_triple(m.columns), m.n)
 
 
 def monomial_triple(cols) -> tuple[Diagram, Diagram, Diagram]:
@@ -107,37 +100,32 @@ def _conjugate(counts) -> Diagram:
 
 def build_chains(d, f, n: int, middles) -> list[StandardMonomial]:
     """Chains of shape f/d for these middles, [] at multiplicity 0.  With d', f'
-    conjugate, rest has I_{d'_c} if f'_c = d'_c and K_{d'_c} if f'_c = d'_c + 2."""
+    conjugate, rest has I_{d'_c} if f'_c = d'_c and K_{d'_c} if f'_c = d'_c + 2.
+    Columns come out in ``sort_key`` order, for i from n-1 down to 0:
+    J_i, J'_i, K_{i-1}, I_i."""
     ranges = diagrams.middle_ranges(d, f, n)
     if not all(ranges):
         return []
     ft = transpose(f)
     dt = transpose(d) + (0,) * len(ft)
-    rest = [ColumnIndex("I" if fc == dc else "K", dc, n)
-            for fc, dc in zip(ft, dt) if fc - dc != 1]
-    factors = [(r.start, r.stop - 1, ColumnIndex("J", i, n),
-                ColumnIndex("Jp", i, n)) for i, r in enumerate(ranges)]
+    rest = [[] for _ in range(n)]  # rest[i]: its K_{i-1} or I_i columns
+    for fc, dc in zip(ft, dt):
+        if fc == dc:
+            rest[dc].append(ColumnIndex("I", dc, n))
+        elif fc == dc + 2:
+            rest[dc + 1].append(ColumnIndex("K", dc, n))
+    factors = [(i, r.start, r.stop - 1, ColumnIndex("J", i, n),
+                ColumnIndex("Jp", i, n), rest[i])
+               for i, r in reversed(list(enumerate(ranges)))]
     pad = (0,) * n
     out = []
     for e in middles:
-        cols = list(rest)
-        for x, (lo, hi, j, jp) in zip(e + pad, factors):
-            cols += [j] * (x - lo) + [jp] * (hi - x)
-        out.append(StandardMonomial(tuple(cols), n))
+        e = e + pad
+        cols = []
+        for i, lo, hi, j, jp, tail in factors:
+            cols += [j] * (e[i] - lo) + [jp] * (hi - e[i]) + tail
+        out.append(StandardMonomial._in_order(tuple(cols), n))
     return out
-
-
-def from_triple(d, e, f, n: int) -> StandardMonomial:
-    """The unique chain whose tableau has shape f, middle diagram e and base d.
-    Inverse to ``monomial_triple`` on chains."""
-    d, e, f = normalize(d), normalize(e), normalize(f)
-    diagrams.check_triple(d, e, f, n)
-    return build_chains(d, f, n, [e])[0]
-
-
-def enumerate_standard(d, f, n: int) -> list[StandardMonomial]:
-    """All chains of shape f/d, ordered like their middle diagrams."""
-    return build_chains(d, f, n, diagrams.enumerate_middle(d, f, n))
 
 
 def sample_chain(n: int) -> StandardMonomial:

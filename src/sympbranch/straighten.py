@@ -18,11 +18,10 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, prod
 from types import MappingProxyType
 
 from sympbranch.lattice import ColumnIndex, parse_column
-from sympbranch.monomials import StandardMonomial
 
 Monomial = tuple[ColumnIndex, ...]
 
@@ -69,8 +68,10 @@ class FormalPolynomial:
         for mono, coeff in items:
             mono = canonical_monomial(mono)
             acc[mono] = acc.get(mono, Fraction(0)) + Fraction(coeff)
-        self._terms = dict(sorted(((m, c) for m, c in acc.items() if c),
-                                  key=lambda kv: _term_sort_key(kv[0])))
+        terms = [(m, c) for m, c in acc.items() if c]
+        if len(terms) > 1:  # one term is in order without its weight
+            terms.sort(key=lambda kv: _term_sort_key(kv[0]))
+        self._terms = dict(terms)
 
     @classmethod
     def monomial(cls, cols, coeff=1) -> "FormalPolynomial":
@@ -132,6 +133,12 @@ def straighten(p: FormalPolynomial) -> FormalPolynomial:
     return FormalPolynomial(out)
 
 
+def expansion_size(p: FormalPolynomial) -> int:
+    """How many terms ``straighten`` writes before collecting them: the sum
+    over the terms of p of prod_i (m_i + 1)."""
+    return sum(prod(m + 1 for _, m in _split_pairs(mono)[1]) for mono in p.terms)
+
+
 def _hibi_monomial(mono: Monomial) -> Monomial:
     rest, pairs = _split_pairs(mono)
     for (_, meet, _), m in pairs:
@@ -143,13 +150,6 @@ def hibi_normal_form(p: FormalPolynomial) -> FormalPolynomial:
     """One-term rewrite I_i * K_{i-1} -> J'_i * J_{i-1}, coefficients kept."""
     return FormalPolynomial([(_hibi_monomial(mono), coeff)
                              for mono, coeff in p.terms.items()])
-
-
-def hibi_product(m1: StandardMonomial, m2: StandardMonomial) -> StandardMonomial:
-    """Product of two chains in the degenerate multiplication."""
-    if m1.n != m2.n:
-        raise ValueError(f"rank mismatch: {m1.n} vs {m2.n}")
-    return StandardMonomial(_hibi_monomial(m1.columns + m2.columns), m1.n)
 
 
 def column_weight(c: ColumnIndex, N: int) -> int:
@@ -245,10 +245,3 @@ def poly_to_json(p: FormalPolynomial) -> list[dict]:
     return [{"coeff": f"{c.numerator}/{c.denominator}",
              "monomial": [col.token() for col in mono],
              "weight": _term_weight(mono)} for mono, c in p.terms.items()]
-
-
-def poly_from_json(data, n: int) -> FormalPolynomial:
-    return FormalPolynomial([
-        (tuple(parse_column(t, n) for t in item["monomial"]),
-         Fraction(item["coeff"]))
-        for item in data])

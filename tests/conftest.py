@@ -1,9 +1,12 @@
 """Shared brute-force oracles, kept independent of the library internals."""
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product, zip_longest)
+from operator import add, neg, sub
 
 import pytest
 from hypothesis import settings
@@ -12,8 +15,7 @@ from hypothesis import strategies as st
 from sympbranch.diagrams import (EQ, GE, LE, enumerate_middle, normalize, part,
                                  transpose)
 from sympbranch.exacteval import ExactMatrix
-from sympbranch.hibi import PatternMap
-from sympbranch.lattice import ColumnIndex, comparable, elements, from_ones
+from sympbranch.lattice import ColumnIndex, elements, from_ones, leq, parse_column
 from sympbranch.monomials import StandardMonomial
 from sympbranch.straighten import FormalPolynomial, canonical_monomial
 
@@ -161,14 +163,30 @@ def standard_oracle(d, f, n):
     return chains
 
 
+def is_order_preserving(top, mid, bot):
+    """Whether the pattern with rows of lengths (n, n, n-1) decreases along
+    every cover of Gamma: top_j >= mid_j >= top_{j+1}, mid_j >= bot_j >=
+    mid_{j+1}."""
+    n = len(top)
+    return (all(top[j] >= mid[j] for j in range(n))
+            and all(mid[j] >= top[j + 1] for j in range(n - 1))
+            and all(mid[j] >= bot[j] >= mid[j + 1] for j in range(n - 1)))
+
+
 def count_patterns(d, f, n):
     """Order-preserving patterns with top row f and bottom row d, found by
     trying every weakly decreasing middle row."""
     d, f = normalize(d), normalize(f)
     top = tuple(part(f, i) for i in range(1, n + 1))
     bot = tuple(part(d, i) for i in range(1, n))
-    return sum(PatternMap(top, mid, bot).is_order_preserving()
+    return sum(is_order_preserving(top, mid, bot)
                for mid in weakly_decreasing_tuples(part(f, 1), n))
+
+
+def add_rows(*patterns):
+    """Componentwise sum of triples or patterns, rows padded with zeros."""
+    return tuple(tuple(map(sum, zip_longest(*rows, fillvalue=0)))
+                 for rows in zip(*patterns))
 
 
 def unit_plus(size, entries):
@@ -197,6 +215,10 @@ def leibniz_det(rows):
             term *= rows[i][j]
         total += term
     return total
+
+
+def comparable(a, b):
+    return leq(a, b) or leq(b, a)
 
 
 def incomparable_pair_count(mono):
@@ -248,6 +270,15 @@ def birkhoff_complement(c):
     return frozenset(GammaCell(level, j)
                      for level in (n + 1, n, n - 1)
                      for j in range(1, sum(e <= level for e in entries) + 1))
+
+
+def chi(c):
+    """The characteristic pattern of c as rows (top, mid, bot): one on its
+    Birkhoff cells, zero elsewhere."""
+    cells, n = birkhoff_complement(c), c.n
+    return tuple(tuple(int(GammaCell(level, j) in cells)
+                       for j in range(1, min(level, n) + 1))
+                 for level in (n + 1, n, n - 1))
 
 
 def _incomparable_indices(mono):
@@ -306,6 +337,196 @@ def chains_up_to(n, max_cols):
         for combo in combinations_with_replacement(cols, k):
             if incomparable_pair_count(combo) == 0:
                 out.append(StandardMonomial(combo, n))
+    return out
+
+
+def column_from_set(entries, n):
+    """Classify a subset of {1, ..., n+1} as a lattice element: a prefix
+    {1, ..., i} of entries <= n-1, plus the flags n and n+1."""
+    s = sorted(entries)
+    if len(set(s)) != len(s):
+        raise ValueError(f"repeated entries in column set {s}")
+    if s and not 1 <= s[0] <= s[-1] <= n + 1:
+        raise ValueError(f"entries of {s} outside 1..{n + 1}")
+    prefix = [e for e in s if e <= n - 1]
+    if prefix != list(range(1, len(prefix) + 1)):
+        raise ValueError(f"{s} is not of the form prefix + {{n, n+1}} flags")
+    kind = {(False, False): "I", (True, False): "J",
+            (False, True): "Jp", (True, True): "K"}[(n in s, n + 1 in s)]
+    return ColumnIndex(kind, len(prefix), n)
+
+
+def is_semistandard(rows):
+    """Rows weakly increase, columns strictly increase, lengths weakly decrease."""
+    lengths = [len(row) for row in rows]
+    if any(a < b for a, b in zip(lengths, lengths[1:])):
+        return False
+    if any(a > b for row in rows for a, b in zip(row, row[1:])):
+        return False
+    return all(upper[c] < lower[c] for upper, lower in zip(rows, rows[1:])
+               for c in range(len(lower)))
+
+
+def satisfies(word, sigma):
+    """Whether a generalized order type satisfies a strict one (= fits both)."""
+    return all(w == EQ or w == s for w, s in zip(word, sigma, strict=True))
+
+
+def parse_order_type(text):
+    """Inverse of ``diagrams.order_type_str``."""
+    word, pos = [], 0
+    while pos < len(text):
+        sym = next((s for s in (GE, LE, EQ) if text.startswith(s, pos)), None)
+        if sym is None:
+            raise ValueError(f"cannot parse order type {text!r} at offset {pos}")
+        word.append(sym)
+        pos += len(sym)
+    return tuple(word)
+
+
+def identity(size):
+    return ExactMatrix([[int(i == j) for j in range(size)] for i in range(size)])
+
+
+def delta(c, X):
+    """The minor of X on its top rows and the columns of c, by Leibniz."""
+    cset = c.column_set()
+    return leibniz_det([[X.rows[i][j - 1] for j in cset]
+                        for i in range(len(cset))])
+
+
+def eval_poly(p, X):
+    """The value of a polynomial at X, one Leibniz minor per column."""
+    values = {}
+    total = Fraction(0)
+    for mono, coeff in p.terms.items():
+        term = coeff
+        for c in mono:
+            if c not in values:
+                values[c] = delta(c, X)
+            term *= values[c]
+        total += term
+    return total
+
+
+def eval_monomial(cols, X):
+    return eval_poly(FormalPolynomial.monomial(cols), X)
+
+
+def symplectic_form(n):
+    """The block form [[0, Q], [-Q, 0]], Q the n x n antidiagonal of ones."""
+    size = 2 * n
+    rows = [[0] * size for _ in range(size)]
+    for a in range(n):
+        rows[a][size - 1 - a] = 1
+        rows[n + a][n - 1 - a] = -1
+    return ExactMatrix(rows)
+
+
+def is_symplectic(X):
+    """X^T J X == J for the block form J."""
+    if X.size % 2:
+        raise ValueError("symplectic matrices have even size")
+    form = symplectic_form(X.size // 2)
+    return ExactMatrix(list(zip(*X.rows))) @ form @ X == form
+
+
+def poly_from_json(data, n):
+    """Inverse of ``straighten.poly_to_json``."""
+    return FormalPolynomial([
+        (tuple(parse_column(t, n) for t in item["monomial"]),
+         Fraction(item["coeff"]))
+        for item in data])
+
+
+# --- Weyl characters of Sp(2n), knowing nothing of interlacing ---------------
+#
+# A character is a Laurent polynomial in x_1..x_n, a dict from exponent
+# vectors to integer coefficients.  The Weyl group of type C_n is the signed
+# permutations, and rho = (n, ..., 1).
+
+def _signed_permutations(n):
+    """(w, sign) for each signed permutation, w(v)_i = eps_i v_{p(i)}."""
+    for perm in permutations(range(n)):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        for eps in product((1, -1), repeat=n):
+            sign = (-1) ** inversions
+            for e in eps:
+                sign *= e
+            yield perm, eps, sign
+
+
+def _alternant(mu):
+    """A_mu = sum over the Weyl group of sign(w) x^(w mu)."""
+    return {tuple(e * mu[p] for p, e in zip(perm, eps)): sign
+            for perm, eps, sign in _signed_permutations(len(mu))}
+
+
+def _divide(p, divisor):
+    """The exact quotient of Laurent polynomials, by lexicographic long
+    division; raises if the division leaves a remainder."""
+    p, q = dict(p), {}
+    lead = max(divisor)
+    bound = max((abs(x) for e in p for x in e), default=0)
+    heap = [tuple(map(neg, e)) for e in p]  # lexicographically largest first
+    heapq.heapify(heap)
+    while p:
+        top = tuple(map(neg, heapq.heappop(heap)))
+        if top not in p:
+            continue
+        shift = tuple(map(sub, top, lead))
+        coeff, rem = divmod(p[top], divisor[lead])
+        if rem or any(abs(x) > bound for x in shift):
+            raise ArithmeticError("the division is not exact")
+        q[shift] = coeff
+        for e, v in divisor.items():
+            key = tuple(map(add, shift, e))
+            value = p.get(key, 0) - coeff * v
+            if not value:
+                p.pop(key, None)
+                continue
+            if key not in p:
+                heapq.heappush(heap, tuple(map(neg, key)))
+            p[key] = value
+    return q
+
+
+def weyl_character(lam, n):
+    """ch V_lam of Sp(2n) as A_(lam+rho) / A_rho.  The denominator is the
+    product of x_i - 1/x_i over i and of (x_i + 1/x_i) - (x_j + 1/x_j) over
+    i < j, so the division goes one factor of two or four terms at a time."""
+    lam = tuple(part(lam, i) for i in range(1, n + 1))
+    ch = _alternant(tuple(a + n - i for i, a in enumerate(lam)))
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    for i in range(n):
+        up, down = unit[i], tuple(-x for x in unit[i])
+        ch = _divide(ch, {up: 1, down: -1})
+        for j in range(i + 1, n):
+            ch = _divide(ch, {up: 1, down: 1, unit[j]: -1,
+                              tuple(-x for x in unit[j]): -1})
+    return ch
+
+
+def branching_oracle(f, n):
+    """V_f of Sp(2n) restricted to Sp(2n-2) x T, T the torus of the Sp(2)
+    on coordinate n: {D: {k: multiplicity of V_D with T weight k}}.
+
+    Multiplying the restricted character by the Sp(2n-2) alternant A_rho'
+    gives sum_D m_D(x_n) A_(D+rho'); each A_(D+rho') has one strictly
+    dominant exponent, D + rho', where its coefficient is one."""
+    m = n - 1
+    rho = tuple(range(m, 0, -1))
+    moved = [(tuple(e * rho[p] for p, e in zip(perm, eps)), sign)
+             for perm, eps, sign in _signed_permutations(m)]
+    acc = Counter()
+    for e, c in weyl_character(f, n).items():
+        for w, sign in moved:
+            acc[tuple(map(add, e, w)), e[m]] += sign * c
+    out = {}
+    for (key, k), c in acc.items():
+        if c and all(a > b for a, b in zip(key, key[1:] + (0,))):
+            d = normalize(tuple(a - r for a, r in zip(key, rho)))
+            out.setdefault(d, {})[k] = c
     return out
 
 

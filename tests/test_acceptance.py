@@ -10,24 +10,26 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from conftest import (
+    add_rows,
     all_diagrams,
     chain_order_type,
+    column_from_set,
     count_patterns,
+    eval_poly,
     margin_tensor_factors,
     multiplicity_nonzero,
+    satisfies,
 )
 from sympbranch.diagrams import (
-    EQ,
     GE,
     LE,
     enumerate_middle,
+    middle_ranges,
     multiplicity,
-    satisfies,
     tensor_factors,
-    tl_weight,
+    tl_weights,
 )
 from sympbranch.exacteval import (
-    eval_poly,
     independence_certificate,
     random_rational_matrix,
     random_torus_element,
@@ -35,12 +37,11 @@ from sympbranch.exacteval import (
     verify_straightening_identity,
     verify_torus_weight,
 )
-from sympbranch.hibi import chain_to_pattern, chi
-from sympbranch.lattice import ColumnIndex, column_from_set, elements
+from sympbranch.hibi import pattern_rows
+from sympbranch.lattice import ColumnIndex, elements
 from sympbranch.monomials import (
     StandardMonomial,
-    enumerate_standard,
-    from_triple,
+    build_chains,
     is_chain,
     monomial_triple,
     sample_chain,
@@ -48,7 +49,7 @@ from sympbranch.monomials import (
 from sympbranch.straighten import (
     FormalPolynomial,
     column_weight,
-    hibi_product,
+    hibi_normal_form,
     straighten,
 )
 
@@ -78,29 +79,28 @@ def test_criterion_1_worked_chain_reproduction():
 
     (m, triple), elapsed = best_time(run)
     ok = (triple == ((4, 3, 1), (4, 4, 2, 1), (5, 4, 3, 2))
-          and from_triple((4, 3, 1), (4, 4, 2, 1), (5, 4, 3, 2), 4) == m)
+          and build_chains((4, 3, 1), (5, 4, 3, 2), 4, [(4, 4, 2, 1)]) == [m])
     report("criterion 1: worked chain shape/middle/round-trip",
            ok and elapsed < 1e-3, f"{elapsed * 1e6:.0f} us")
 
 
 def test_criterion_2_torus_weight_reproduction():
-    value, elapsed = best_time(
-        lambda: tl_weight((4, 3, 1), (4, 4, 2, 1), (5, 4, 3, 2), 4))
+    value, elapsed = best_time(lambda: tl_weights(
+        middle_ranges((4, 3, 1), (5, 4, 3, 2), 4), [(4, 4, 2, 1)])[0])
     report("criterion 2: torus weight of the worked triple",
            value == (-1, 1, -1, 1) and elapsed < 1e-3,
            f"weight={value}, {elapsed * 1e6:.0f} us")
 
 
 def test_criterion_3_characteristic_patterns():
-    a = chi(column_from_set([1, 2, 4, 5], 4))
-    b = chi(column_from_set([1, 2, 5], 4))
-    c = chi(column_from_set([1, 4], 4))
+    cols = [column_from_set(s, 4) for s in ([1, 2, 4, 5], [1, 2, 5], [1, 4])]
+    a, b, c = (pattern_rows(*monomial_triple((col,)), 4) for col in cols)
     displays_ok = (
-        (a.top, a.mid, a.bot) == ((1, 1, 1, 1), (1, 1, 1, 0), (1, 1, 0))
-        and (b.top, b.mid, b.bot) == ((1, 1, 1, 0), (1, 1, 0, 0), (1, 1, 0))
-        and (c.top, c.mid, c.bot) == ((1, 1, 0, 0), (1, 1, 0, 0), (1, 0, 0)))
-    total = a + b + c
-    sum_ok = (total.top, total.mid, total.bot) == (
+        a == ((1, 1, 1, 1), (1, 1, 1, 0), (1, 1, 0))
+        and b == ((1, 1, 1, 0), (1, 1, 0, 0), (1, 1, 0))
+        and c == ((1, 1, 0, 0), (1, 1, 0, 0), (1, 0, 0)))
+    total = pattern_rows(*monomial_triple(cols), 4)
+    sum_ok = total == add_rows(a, b, c) == (
         (3, 3, 2, 1), (3, 3, 1, 0), (3, 2, 0))
     report("criterion 3: characteristic patterns and their sum",
            displays_ok and sum_ok)
@@ -147,8 +147,8 @@ def test_criterion_5_basis_theorem_desk_scale():
             for f in all_diagrams(3, n):
                 pairs += 1
                 mult = multiplicity(d, f, n)
-                if not (len(enumerate_standard(d, f, n)) == mult
-                        == count_patterns(d, f, n)):
+                chains = build_chains(d, f, n, enumerate_middle(d, f, n))
+                if not len(chains) == mult == count_patterns(d, f, n):
                     ok = False
                 if mult == 0:
                     continue
@@ -237,12 +237,15 @@ def test_criterion_8_degeneration_filtration():
                   for k in (0, 1, 2, 3)
                   for c in combinations_with_replacement(elements(n), k)
                   if is_chain(c)]
-        patterns = [chain_to_pattern(m) for m in chains]
+        triples = [monomial_triple(m.columns) for m in chains]
         for i, m1 in enumerate(chains):
             for j in range(i, len(chains)):
                 pairs += 1
-                expected = patterns[i] + patterns[j]
-                if chain_to_pattern(hibi_product(m1, chains[j])) != expected:
+                product = hibi_normal_form(
+                    FormalPolynomial.monomial(m1.columns + chains[j].columns))
+                (mono, coeff), = product.terms.items()
+                if (coeff != 1 or monomial_triple(mono)
+                        != add_rows(triples[i], triples[j])):
                     hom_ok = False
     elapsed = time.perf_counter() - start
     report("criterion 8: filtration weights and degenerate product semigroup",

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,7 @@ from conftest import assemble_rows, diagram_pairs, margin_tl_weight
 from sympbranch import cli, diagrams, hibi
 from sympbranch.cli import main
 from sympbranch.lattice import parse_column
+from sympbranch.monomials import StandardMonomial
 
 
 def run(capsys, *argv):
@@ -198,7 +200,8 @@ def test_basis_weights_and_tableaux_match_oracles(pair):
     assert len(entries) == diagrams.multiplicity(d, f, n)
     for entry in entries:
         e = tuple(entry["E"])
-        assert entry["tl_weight"] == list(diagrams.tl_weight(d, e, f, n)) \
+        weight = diagrams.tl_weights(diagrams.middle_ranges(d, f, n), [e])[0]
+        assert entry["tl_weight"] == list(weight) \
             == list(margin_tl_weight(d, e, f, n))
         cols = [parse_column(token, n) for token in entry["monomial"]]
         assert entry["tableau"] == [list(row) for row in assemble_rows(cols)]
@@ -214,12 +217,14 @@ def _count_calls(monkeypatch, module, name, calls):
 
 
 def test_basis_json_reads_the_pair_once(capsys, monkeypatch):
-    calls = {"check_triple": 0}
-    _count_calls(monkeypatch, diagrams, "check_triple", calls)
+    # one enumeration, and no chain re-sorted or re-checked by the public
+    # constructor: build_chains writes each in order
+    calls = {"__post_init__": 0}
     _count_calls(monkeypatch, diagrams, "enumerate_middle", calls)
+    _count_calls(monkeypatch, StandardMonomial, "__post_init__", calls)
     code, out, _ = run(capsys, "basis", "4,3,1", "5,4,3,2", "--n", "4", "--json")
     assert code == 0 and json.loads(out)["count"] == 16
-    assert calls == {"check_triple": 0, "enumerate_middle": 1}
+    assert calls == {"__post_init__": 0, "enumerate_middle": 1}
 
 
 def test_degenerate_json_builds_no_text(capsys, monkeypatch):
@@ -336,6 +341,34 @@ def test_listings_past_the_cap_are_refused_before_building(capsys, argv):
 def test_count_past_the_cap_is_still_printed(capsys):
     code, out, _ = run(capsys, "mult", _HUGE_D, _HUGE_F, "--n", "8", "--json")
     assert code == 0 and json.loads(out)["multiplicity"] == 3079296
+
+
+def _pairs(counts):
+    """One monomial holding I_i K_{i-1} counts[i - 1] times for each i."""
+    return "[" + ",".join(f"I{i},K{i - 1}" for i, m in enumerate(counts, 1)
+                          for _ in range(m)) + "]"
+
+
+@pytest.mark.parametrize("as_json", [(), ("--json",)])
+def test_straightening_past_the_cap_is_refused_before_expanding(capsys, as_json):
+    # 21^5 = 4,084,101 terms: the expansion would never return.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "straighten", _pairs([20] * 5), "--n", "6",
+                         *as_json)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "4084101" in err and str(cli.LISTING_CAP) in err
+    code, out, _ = run(capsys, "straighten", _pairs([20] * 5), "--n", "6",
+                       "--hibi", *as_json)
+    assert code == 0 and out
+
+
+def test_straightening_at_the_cap_is_printed(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "LISTING_CAP", 10)
+    code, out, _ = run(capsys, "straighten", _pairs([9]), "--n", "2", "--json")
+    assert code == 0 and len(json.loads(out)["terms"]) == 10
+    code, out, err = run(capsys, "straighten", _pairs([10]), "--n", "2")
+    assert (code, out) == (2, "") and "11 terms" in err and "cap 10" in err
 
 
 # Inputs whose straightened forms list many terms, several of equal weight:

@@ -2,32 +2,41 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import (
     all_diagrams,
+    branching_oracle,
     brute_middles,
+    diagram_pairs,
     interlace_oracle,
     margin_tensor_factors,
     margin_tl_weight,
     multiplicity_nonzero,
+    parse_order_type,
+    satisfies,
+    weyl_character,
 )
 from sympbranch.diagrams import (
     EQ,
     GE,
     LE,
     enumerate_middle,
-    interlaces,
+    middle_ranges,
     multiplicity,
     normalize,
     order_type_of,
     order_type_str,
-    parse_order_type,
     part,
-    satisfies,
     tensor_factors,
-    tl_weight,
+    tl_weights,
     transpose,
 )
+
+
+def tl_weight(d, e, f, n):
+    weight, = tl_weights(middle_ranges(d, f, n), [e])
+    return weight
 
 
 def test_normalize():
@@ -46,17 +55,22 @@ def test_transpose():
 
 
 def test_interlaces_examples():
-    assert interlaces((4, 4, 2, 1), (5, 4, 3, 2))
-    assert interlaces((), ())
-    assert not interlaces((3,), (1, 1))
-    assert interlaces((4, 3, 1), (4, 4, 2, 1))
+    assert interlace_oracle((4, 4, 2, 1), (5, 4, 3, 2))
+    assert interlace_oracle((), ())
+    assert not interlace_oracle((3,), (1, 1))
+    assert interlace_oracle((4, 3, 1), (4, 4, 2, 1))
 
 
 def test_interlaces_matches_oracle():
-    diagrams = all_diagrams(3, 3)
-    for d in diagrams:
-        for f in diagrams:
-            assert interlaces(d, f) == interlace_oracle(d, f)
+    # e lies in the middle ranges exactly when d interlaces e and e interlaces f
+    for n in (2, 3):
+        for d in all_diagrams(3, n - 1):
+            for f in all_diagrams(3, n):
+                ranges = middle_ranges(d, f, n)
+                for e in all_diagrams(3, n):
+                    inside = all(part(e, i) in r for i, r in enumerate(ranges, 1))
+                    assert inside == (interlace_oracle(d, e)
+                                      and interlace_oracle(e, f))
 
 
 def test_multiplicity_frozen_values():
@@ -181,8 +195,6 @@ def test_tensor_factor_product_counts_multiplicity():
 def test_tl_weight_worked_example():
     assert tl_weight((4, 3, 1), (4, 4, 2, 1), (5, 4, 3, 2), 4) == (-1, 1, -1, 1)
     assert tl_weight((2,), (2, 1), (2, 2), 2) == (0, 0)
-    with pytest.raises(ValueError):
-        tl_weight((3,), (1,), (1, 1), 2)
 
 
 def test_tl_weights_fill_the_tensor_box():
@@ -201,3 +213,55 @@ def test_tl_weights_fill_the_tensor_box():
                 for w in weights:
                     assert all(abs(wi) <= ri and (wi - ri) % 2 == 0
                                for wi, ri in zip(w, r))
+
+
+def test_weyl_characters_of_small_representations():
+    assert weyl_character((), 3) == {(0, 0, 0): 1}
+    standard = weyl_character((1,), 3)  # the 6 weights +-e_i
+    assert standard == {w: 1 for i in range(3) for w in (
+        tuple(int(k == i) for k in range(3)), tuple(-int(k == i) for k in range(3)))}
+    # Weyl's dimension formula for Sp(4): (l1-l2+1)(l2+1)(l1+2)(l1+l2+3)/6
+    for l1 in range(4):
+        for l2 in range(l1 + 1):
+            dim = (l1 - l2 + 1) * (l2 + 1) * (l1 + 2) * (l1 + l2 + 3) // 6
+            assert sum(weyl_character((l1, l2), 2).values()) == dim
+    ch = weyl_character((2, 1), 3)  # invariant under signed permutations
+    assert all(ch.get((c, a, -b)) == v for (a, b, c), v in ch.items())
+
+
+def _sl2_strings(r):
+    """The character prod_i (x^r_i + x^(r_i - 2) + ... + x^-r_i) as a dict."""
+    out = {0: 1}
+    for ri in r:
+        step = {}
+        for k, c in out.items():
+            for t in range(ri + 1):
+                step[k + ri - 2 * t] = step.get(k + ri - 2 * t, 0) + c
+        out = step
+    return out
+
+
+def _check_against_weyl(d, f, n, branching):
+    """multiplicity is the dimension of the D-isotypic part of V_F, and the
+    Sp(2) torus acts on it by the tensor factors' SL2 strings."""
+    got = branching.get(d, {})
+    assert multiplicity(d, f, n) == sum(got.values())
+    if got:
+        assert got == _sl2_strings(tensor_factors(d, f, n))
+
+
+def test_branching_matches_weyl_characters():
+    # F with parts <= 4, 3, 2 at n = 2, 3, 4; D with parts up to one more
+    for n, top in ((2, 4), (3, 3), (4, 2)):
+        for f in all_diagrams(top, n):
+            branching = branching_oracle(f, n)
+            assert all(multiplicity(d, f, n) for d in branching)
+            for d in all_diagrams(top + 1, n - 1):
+                _check_against_weyl(d, f, n, branching)
+
+
+@settings(max_examples=25)
+@given(diagram_pairs(4, 3))
+def test_branching_matches_weyl_characters_on_random_pairs(pair):
+    d, f, n = pair
+    _check_against_weyl(d, f, n, branching_oracle(f, n))

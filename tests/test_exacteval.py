@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (all_diagrams, dense_diagonal, leibniz_det,
-                      natural_sl2_weight, unit_plus)
+from conftest import (all_diagrams, delta, dense_diagonal, eval_monomial,
+                      eval_poly, identity, is_symplectic, leibniz_det,
+                      natural_sl2_weight, symplectic_form, unit_plus)
 from sympbranch import exacteval
 from sympbranch.diagrams import multiplicity
 from sympbranch.exacteval import (
@@ -21,23 +22,18 @@ from sympbranch.exacteval import (
     _scaled,
     _torus_step,
     _upper_root,
-    delta,
     delta_table,
     det,
     embed_subgroup,
-    eval_monomial,
-    eval_poly,
     exact_rank,
     independence_certificate,
     independence_suite,
     invariance_suite,
-    is_symplectic,
     random_rational_matrix,
     random_symplectic,
     random_torus_element,
     random_unipotent,
     relations_suite,
-    symplectic_form,
     torus_suite,
     verify_generator_weight,
     verify_invariance,
@@ -45,15 +41,16 @@ from sympbranch.exacteval import (
     verify_torus_weight,
 )
 from sympbranch.lattice import ColumnIndex, elements
-from sympbranch.monomials import StandardMonomial, enumerate_standard, sample_chain
+from sympbranch.diagrams import enumerate_middle
+from sympbranch.monomials import StandardMonomial, build_chains, sample_chain
 from sympbranch.straighten import FormalPolynomial
 
 
 def test_matrix_basics():
-    eye = ExactMatrix.identity(3)
+    eye = identity(3)
     m = ExactMatrix([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
-    assert m @ eye == m
-    assert m.transpose().transpose() == m
+    assert m @ eye == eye @ m == m
+    assert m.size == 3 and m.rows[1] == (0, 1, 3)
     with pytest.raises(ValueError):
         ExactMatrix([[1, 2], [3]])
 
@@ -197,7 +194,7 @@ def test_rank_mod_p_falls_short_on_multiples_of_the_prime():
 
 def test_delta_examples():
     n = 3
-    eye = ExactMatrix.identity(2 * n)
+    eye = identity(2 * n)
     for r in range(1, n):
         assert delta(ColumnIndex("I", r, n), eye) == 1
     assert delta(ColumnIndex("J", 0, n), eye) == 0
@@ -205,8 +202,10 @@ def test_delta_examples():
     k0 = delta(ColumnIndex("K", 0, n), X)
     rows = X.rows
     assert k0 == rows[0][n - 1] * rows[1][n] - rows[0][n] * rows[1][n - 1]
+    assert delta_table(n, X)[ColumnIndex("K", 0, n)] == k0
+    assert delta_table(n, eye)[ColumnIndex("J", 0, n)] == 0
     with pytest.raises(ValueError):
-        delta(ColumnIndex("I", 1, 2), eye)
+        delta_table(2, eye)
 
 
 def test_minor_sweep_matches_each_minor(monkeypatch):
@@ -243,7 +242,7 @@ def test_eval_monomial_and_poly():
     X = random_rational_matrix(n, 11)
     assert eval_monomial((), X) == 1
     chain = sample_chain(n)
-    assert eval_monomial(chain.columns, ExactMatrix.identity(2 * n)) == 0
+    assert eval_monomial(chain.columns, identity(2 * n)) == 0
     p = FormalPolynomial.monomial(chain.columns, 2) + \
         FormalPolynomial.monomial((), Fraction(1, 3))
     assert eval_poly(p, X) == 2 * eval_monomial(chain.columns, X) + Fraction(1, 3)
@@ -255,15 +254,15 @@ def test_symplectic_form_shape():
     form = symplectic_form(2)
     assert form.rows == ExactMatrix([[0, 0, 0, 1], [0, 0, 1, 0],
                                      [0, -1, 0, 0], [-1, 0, 0, 0]]).rows
-    assert form.transpose().rows == tuple(tuple(-v for v in row)
-                                          for row in form.rows)
+    assert tuple(zip(*form.rows)) == tuple(tuple(-v for v in row)
+                                           for row in form.rows)
 
 
 def test_is_symplectic():
-    assert is_symplectic(ExactMatrix.identity(6))
+    assert is_symplectic(identity(6))
     assert not is_symplectic(dense_diagonal([2, 1, 1, 1, 1, 1]))
     with pytest.raises(ValueError):
-        is_symplectic(ExactMatrix.identity(3))
+        is_symplectic(identity(3))
 
 
 def test_random_symplectic_contract():
@@ -273,7 +272,12 @@ def test_random_symplectic_contract():
             assert is_symplectic(X)
             assert det(X.rows) == 1
     assert random_symplectic(3, 123) == random_symplectic(3, 123)
-    assert random_symplectic(2, 5, factors=0) == ExactMatrix.identity(4)
+    assert random_symplectic(2, 5, factors=0) == identity(4)
+    for n in (2, 3, 5):
+        for seed in (0, 7, 2**64 - 59):
+            # the top rows alone draw the same: factors only mix columns
+            num, q = exacteval._sample_symplectic(n, seed, 2 * n)
+            assert exacteval._sample_symplectic(n, seed, n) == (num[:n], q)
 
 
 _units = st.sampled_from((1, 2, 3, -1, -2, -3))
@@ -375,9 +379,9 @@ def test_random_unipotent_structure():
                            for i in range(size))
                 assert all(up.rows[col][j] == (1 if j == col else 0)
                            for j in range(size))
-    assert random_unipotent(2, "lower", 9, factors=0) == ExactMatrix.identity(4)
+    assert random_unipotent(2, "lower", 9, factors=0) == identity(4)
     assert random_unipotent(2, "upper_embedded", 9, factors=0) == \
-        ExactMatrix.identity(4)
+        identity(4)
     with pytest.raises(ValueError):
         random_unipotent(2, "sideways", 0)
 
@@ -392,7 +396,7 @@ def test_embed_subgroup_block_pattern():
 
 
 def test_straightening_identity_everywhere():
-    assert verify_straightening_identity(ExactMatrix.identity(6))
+    assert verify_straightening_identity(identity(6))
     rng = random.Random(3)
     for n in (2, 3, 4, 5):
         for _ in range(10):
@@ -537,21 +541,21 @@ def test_chains_scale_by_their_natural_weight():
             X = random_symplectic(n, seed)
             moved = _scaled(X, ones, tau)
             assert is_symplectic(moved)
-            monos = enumerate_standard(d, f, n)
+            monos = build_chains(d, f, n, enumerate_middle(d, f, n))
             assert len({natural_sl2_weight(m) for m in monos}) > 1
             for m in monos:
                 assert eval_monomial(m.columns, moved) == \
                     s ** natural_sl2_weight(m) * eval_monomial(m.columns, X)
 
 
-def _without_column(n, seed):
+def _without_column(n, seed, rows):
     """A generic point with column n+1 zero, where every J' and K minor is 0,
-    as integer rows over one denominator per column."""
+    as its top integer rows over one denominator per column."""
     cols = list(zip(*random_rational_matrix(n, seed).rows))
     q = [math.lcm(*(x.denominator for x in col)) for col in cols]
     num = [[0 if j == n else int(x * q[j]) for j, x in enumerate(row)]
            for row in zip(*cols)]
-    return num, q
+    return num[:rows], q
 
 
 def test_certificate_blocks_hold_the_chains_of_their_weight(monkeypatch):
@@ -568,7 +572,7 @@ def test_certificate_blocks_hold_the_chains_of_their_weight(monkeypatch):
                 if not multiplicity(d, f, n):
                     continue
                 expected = {}
-                for m in enumerate_standard(d, f, n):
+                for m in build_chains(d, f, n, enumerate_middle(d, f, n)):
                     w = natural_sl2_weight(m)
                     block = expected.setdefault(w, [w, 0, 0])
                     block[1] += 1
@@ -584,7 +588,8 @@ def test_independence_failure_names_pair_and_short_blocks(monkeypatch):
     # as every point each block falls short, and the witness must say which
     # pair and which blocks, and replay from its seed.
     monkeypatch.setattr(exacteval, "_sample_symplectic",
-                        lambda n, seed: (_identity_rows(2 * n), [1] * (2 * n)))
+                        lambda n, seed, rows: (_identity_rows(2 * n)[:rows],
+                                               [1] * (2 * n)))
     report = independence_suite(2, 0, 1, d=(1,), f=(2, 1))
     assert len(report["failures"]) == 1
     failure = report["failures"][0]
@@ -634,7 +639,8 @@ def test_blocks_share_one_scale_per_point():
                     continue
                 monos, blocks = exacteval._weight_blocks(d, f, n)
                 for seed in range(2):
-                    num, q = exacteval._sample_symplectic(n, 100 * n + seed)
+                    num, q = exacteval._sample_symplectic(n, 100 * n + seed,
+                                                          2 * n)
                     table = delta_table(n, exacteval._wrap(num, q))
                     ints = dict(zip(gens(n), exacteval._minor_sweep(num, n)))
                     for cols in blocks.values():

@@ -1,92 +1,100 @@
+import json
 import random
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (
+    add_rows,
     all_diagrams,
     birkhoff_complement,
+    chi,
+    column_from_set,
     count_patterns,
     diagram_pairs,
     gamma_cells,
+    is_order_preserving,
     multiplicity_nonzero,
     triple_oracle,
 )
-from sympbranch.diagrams import multiplicity, normalize, part
-from sympbranch.hibi import (
-    PatternMap,
-    chain_to_pattern,
-    chi,
-    pattern_of_triple,
-    pattern_to_chain,
-    pretty,
+from sympbranch.cli import main
+from sympbranch.diagrams import enumerate_middle, multiplicity, normalize
+from sympbranch.hibi import pattern_rows, pretty
+from sympbranch.lattice import elements, leq
+from sympbranch.monomials import (
+    StandardMonomial,
+    build_chains,
+    is_chain,
+    monomial_triple,
 )
-from sympbranch.lattice import column_from_set, elements, leq
-from sympbranch.monomials import StandardMonomial, enumerate_standard, is_chain
-from sympbranch.straighten import hibi_product
+from sympbranch.straighten import FormalPolynomial, hibi_normal_form
+
+
+def pattern(cols, n):
+    """The pattern of a column multiset: its padded (F, E, D) rows."""
+    return pattern_rows(*monomial_triple(cols), n)
 
 
 def zero(n):
-    return PatternMap((0,) * n, (0,) * n, (0,) * (n - 1))
+    return (0,) * n, (0,) * n, (0,) * (n - 1)
 
 
 def test_pattern_validation():
     with pytest.raises(ValueError):
-        PatternMap((1, 1), (1,), (1,))
+        pattern_rows((), (), (1, 1, 1), 2)  # f longer than n
     with pytest.raises(ValueError):
-        PatternMap((1, 1), (1, 1), (-1,))
+        pattern_rows((1, 1), (), (), 2)  # d longer than n - 1
     with pytest.raises(ValueError):
-        PatternMap((1,), (1,), ())
+        pattern_rows((), (), (1, -1), 2)
     with pytest.raises(ValueError):
-        pattern_of_triple((), (), (1, 1, 1), 2)  # f longer than n
-    with pytest.raises(ValueError):
-        pattern_of_triple((1, 1), (), (), 2)  # d longer than n - 1
-    p = PatternMap([3, 2], [2, 1], [2])
-    assert p.n == 2 and p.top == (3, 2)
+        pattern_rows((), (1, 2), (2, 2), 2)
+    assert pattern_rows((2,), [2, 1, 0], (3, 2), 2) == ((3, 2), (2, 1), (2,))
+    assert pattern_rows((), (), (), 3) == zero(3)
 
 
 def test_is_order_preserving():
-    assert PatternMap((3, 3, 2, 1), (3, 3, 1, 0), (3, 2, 0)).is_order_preserving()
-    assert not PatternMap((1, 0), (0, 1), (0,)).is_order_preserving()
-    assert not PatternMap((2, 0), (1, 0), (2,)).is_order_preserving()
-    assert zero(3).is_order_preserving()
+    assert is_order_preserving((3, 3, 2, 1), (3, 3, 1, 0), (3, 2, 0))
+    assert not is_order_preserving((1, 0), (0, 1), (0,))
+    assert not is_order_preserving((2, 0), (1, 0), (2,))
+    assert is_order_preserving(*zero(3))
+    for n in (2, 3):
+        for d in all_diagrams(3, n - 1):
+            for f in all_diagrams(3, n):
+                for e in enumerate_middle(d, f, n):
+                    assert is_order_preserving(*pattern_rows(d, e, f, n))
 
 
 def test_chi_displays():
-    a = chi(column_from_set([1, 2, 4, 5], 4))
-    b = chi(column_from_set([1, 2, 5], 4))
-    c = chi(column_from_set([1, 4], 4))
-    assert (a.top, a.mid, a.bot) == ((1, 1, 1, 1), (1, 1, 1, 0), (1, 1, 0))
-    assert (b.top, b.mid, b.bot) == ((1, 1, 1, 0), (1, 1, 0, 0), (1, 1, 0))
-    assert (c.top, c.mid, c.bot) == ((1, 1, 0, 0), (1, 1, 0, 0), (1, 0, 0))
-    jp0 = chi(column_from_set([5], 4))
-    assert (jp0.top, jp0.mid, jp0.bot) == ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0))
+    a = pattern((column_from_set([1, 2, 4, 5], 4),), 4)
+    b = pattern((column_from_set([1, 2, 5], 4),), 4)
+    c = pattern((column_from_set([1, 4], 4),), 4)
+    assert a == ((1, 1, 1, 1), (1, 1, 1, 0), (1, 1, 0))
+    assert b == ((1, 1, 1, 0), (1, 1, 0, 0), (1, 1, 0))
+    assert c == ((1, 1, 0, 0), (1, 1, 0, 0), (1, 0, 0))
+    jp0 = pattern((column_from_set([5], 4),), 4)
+    assert jp0 == ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0))
 
 
 def test_chi_matches_birkhoff_cells():
     for n in (2, 3, 4):
         for col in elements(n):
             cells = birkhoff_complement(col)
-            p = chi(col)
-            rows = {n + 1: p.top, n: p.mid, n - 1: p.bot}
+            p = pattern((col,), n)
+            assert p == chi(col)
+            rows = dict(zip((n + 1, n, n - 1), p))
             for cell in gamma_cells(n):
                 assert rows[cell.level][cell.pos - 1] == int(cell in cells)
 
 
 def test_chain_to_pattern_examples():
     n = 4
-    small = StandardMonomial(tuple(column_from_set(s, n)
-                                   for s in ([1, 2, 4, 5], [1, 2, 5], [1, 4])), n)
-    p = chain_to_pattern(small)
-    assert (p.top, p.mid, p.bot) == ((3, 3, 2, 1), (3, 3, 1, 0), (3, 2, 0))
-    worked = StandardMonomial(tuple(column_from_set(s, n) for s in
-                                    ([1, 2, 3, 4], [1, 2, 4, 5], [1, 2, 5],
-                                     [1, 4], [5])), n)
-    q = chain_to_pattern(worked)
-    assert (q.top, q.mid, q.bot) == ((5, 4, 3, 2), (4, 4, 2, 1), (4, 3, 1))
-    assert chain_to_pattern(StandardMonomial((), n)) == zero(n)
+    small = [column_from_set(s, n) for s in ([1, 2, 4, 5], [1, 2, 5], [1, 4])]
+    assert pattern(small, n) == ((3, 3, 2, 1), (3, 3, 1, 0), (3, 2, 0))
+    worked = [column_from_set(s, n) for s in
+              ([1, 2, 3, 4], [1, 2, 4, 5], [1, 2, 5], [1, 4], [5])]
+    assert pattern(worked, n) == ((5, 4, 3, 2), (4, 4, 2, 1), (4, 3, 1))
+    assert pattern((), n) == zero(n)
 
 
 def test_chain_pattern_rows_match_shape_and_middle():
@@ -95,19 +103,16 @@ def test_chain_pattern_rows_match_shape_and_middle():
             for combo in combinations_with_replacement(elements(n), k):
                 if not is_chain(combo):
                     continue
-                m = StandardMonomial(combo, n)
-                assert chain_to_pattern(m) == pattern_of_triple(
-                    *triple_oracle(combo, n), n)
+                p = pattern(combo, n)
+                assert p == pattern_rows(*triple_oracle(combo, n), n)
+                assert p == add_rows(*map(chi, combo))
 
 
 def test_pattern_to_chain_examples():
-    n = 4
-    p = PatternMap((3, 3, 2, 1), (3, 3, 1, 0), (3, 2, 0))
-    chain = pattern_to_chain(p)
+    top, mid, bot = (3, 3, 2, 1), (3, 3, 1, 0), (3, 2, 0)
+    chain, = build_chains(normalize(bot), normalize(top), 4, [normalize(mid)])
     assert chain.tokens() == ["K2", "J'2", "J1"]
-    assert pattern_to_chain(zero(3)) == StandardMonomial((), 3)
-    with pytest.raises(ValueError):
-        pattern_to_chain(PatternMap((1, 0), (0, 1), (0,)))
+    assert build_chains((), (), 3, [()]) == [StandardMonomial((), 3)]
 
 
 def test_pattern_round_trip_on_chains():
@@ -117,26 +122,26 @@ def test_pattern_round_trip_on_chains():
                 if not is_chain(combo):
                     continue
                 m = StandardMonomial(combo, n)
-                assert pattern_to_chain(chain_to_pattern(m)) == m
+                top, mid, bot = pattern(m.columns, n)
+                d, e, f = normalize(bot), normalize(mid), normalize(top)
+                assert (d, e, f) == monomial_triple(m.columns)
+                assert build_chains(d, f, n, [e]) == [m]
 
 
 def test_add():
     n = 4
-    a = chi(column_from_set([1, 2, 4, 5], n))
-    b = chi(column_from_set([1, 2, 5], n))
-    c = chi(column_from_set([1, 4], n))
-    total = a + b + c
-    assert (total.top, total.mid, total.bot) == (
-        (3, 3, 2, 1), (3, 3, 1, 0), (3, 2, 0))
-    assert total + zero(n) == total
+    a, b, c = (column_from_set(s, n) for s in ([1, 2, 4, 5], [1, 2, 5], [1, 4]))
+    total = add_rows(chi(a), chi(b), chi(c))
+    assert total == ((3, 3, 2, 1), (3, 3, 1, 0), (3, 2, 0))
+    assert total == pattern((a, b, c), n)
+    assert add_rows(total, zero(n)) == total
     rng = random.Random(0)
     cols = elements(n)
     for _ in range(20):
-        p, q = chi(rng.choice(cols)), chi(rng.choice(cols))
-        assert p + q == q + p
-        assert (p + q).is_order_preserving()
-    with pytest.raises(ValueError):
-        zero(2) + zero(3)
+        p, q = rng.choice(cols), rng.choice(cols)
+        assert add_rows(chi(p), chi(q)) == add_rows(chi(q), chi(p))
+        assert add_rows(chi(p), chi(q)) == pattern((p, q), n)
+        assert is_order_preserving(*add_rows(chi(p), chi(q)))
 
 
 def test_count_patterns_examples():
@@ -145,12 +150,16 @@ def test_count_patterns_examples():
     assert count_patterns((1,), (1, 1), 2) == 2
 
 
+def _chain_count(d, f, n):
+    return len(build_chains(d, f, n, enumerate_middle(d, f, n)))
+
+
 def test_count_patterns_matches_multiplicity():
     for n in (2, 3):
         for d in all_diagrams(3, n - 1):
             for f in all_diagrams(3, n):
                 assert count_patterns(d, f, n) == multiplicity(d, f, n) == \
-                    len(enumerate_standard(d, f, n))
+                    _chain_count(d, f, n)
 
 
 @settings(max_examples=150)
@@ -158,7 +167,7 @@ def test_count_patterns_matches_multiplicity():
 def test_count_patterns_oracle_matches_multiplicity(pair):
     d, f, n = pair
     assert count_patterns(d, f, n) == multiplicity(d, f, n) == \
-        len(enumerate_standard(d, f, n))
+        _chain_count(d, f, n)
 
 
 def test_chi_is_an_order_isomorphism():
@@ -166,10 +175,9 @@ def test_chi_is_an_order_isomorphism():
         cols = elements(n)
         zero_sets = {}
         for col in cols:
-            p = chi(col)
+            rows = pattern((col,), n)
             zero_sets[col] = {(level, j)
-                              for level, row in ((n + 1, p.top), (n, p.mid),
-                                                 (n - 1, p.bot))
+                              for level, row in zip((n + 1, n, n - 1), rows)
                               for j, v in enumerate(row, start=1) if v == 0}
         for a in cols:
             for b in cols:
@@ -184,8 +192,12 @@ def test_product_homomorphism_small():
               if is_chain(c)]
     for m1 in chains:
         for m2 in chains:
-            left = chain_to_pattern(hibi_product(m1, m2))
-            assert left == chain_to_pattern(m1) + chain_to_pattern(m2)
+            product = hibi_normal_form(
+                FormalPolynomial.monomial(m1.columns + m2.columns))
+            (mono, coeff), = product.terms.items()
+            assert coeff == 1 and is_chain(mono)
+            assert pattern(mono, n) == add_rows(pattern(m1.columns, n),
+                                                pattern(m2.columns, n))
 
 
 def test_margin_fixing():
@@ -193,20 +205,23 @@ def test_margin_fixing():
     n = 3
     d, f = (2, 1), (3, 2, 1)
     assert multiplicity_nonzero(d, f)
-    mids = {tuple(chain_to_pattern(m).mid)
-            for m in enumerate_standard(d, f, n)}
+    mids = {pattern(m.columns, n)[1]
+            for m in build_chains(d, f, n, enumerate_middle(d, f, n))}
     assert len(mids) == count_patterns(d, f, n)
 
 
 def test_pretty_layout():
-    p = PatternMap((3, 3, 2, 1), (3, 3, 1, 0), (3, 2, 0))
-    assert pretty(p).splitlines() == [
+    assert pretty(((3, 3, 2, 1), (3, 3, 1, 0), (3, 2, 0))).splitlines() == [
         "3     3     2     1",
         "   3     3     1     0",
         "      3     2     0",
     ]
 
 
-def test_pattern_json():
-    p = PatternMap((2, 1), (1, 1), (1,))
-    assert p.to_json() == {"top": [2, 1], "mid": [1, 1], "bot": [1]}
+def test_pattern_json(capsys):
+    assert main(["degenerate", "1", "2,1", "--n", "2", "--json"]) == 0
+    entries = json.loads(capsys.readouterr().out)["patterns"]
+    assert [(e["top"], e["mid"], e["bot"]) for e in entries] == [
+        ([2, 1], [1, 0], [1]), ([2, 1], [1, 1], [1]),
+        ([2, 1], [2, 0], [1]), ([2, 1], [2, 1], [1])]
+    assert {k for e in entries for k in e} == {"monomial", "top", "mid", "bot"}

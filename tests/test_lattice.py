@@ -2,10 +2,16 @@ from itertools import combinations
 
 import pytest
 
-from conftest import birkhoff_complement, covering_pairs, gamma_cells
+from conftest import (
+    birkhoff_complement,
+    chi,
+    column_from_set,
+    comparable,
+    covering_pairs,
+    gamma_cells,
+)
 from sympbranch.lattice import (
     ColumnIndex,
-    column_from_set,
     elements,
     join,
     leq,
@@ -109,7 +115,7 @@ def test_incomparable_pairs_match_exhaustive_scan():
     for n in range(2, 7):
         cols = elements(n)
         scanned = {frozenset((a, b)) for a, b in combinations(cols, 2)
-                   if not leq(a, b) and not leq(b, a)}
+                   if not comparable(a, b)}
         listed = [quadratic_relation(i, n)[0] for i in range(1, n)]
         assert listed == [(C("I", i, n), C("K", i - 1, n)) for i in range(1, n)]
         assert {frozenset(p) for p in listed} == scanned
@@ -169,20 +175,12 @@ def test_gamma_cell_count():
         assert all(cell.pos <= min(cell.level, n) for cell in cells)
 
 
-def _ones_rows(c):
-    cells = birkhoff_complement(c)
-    n = c.n
-    return tuple(tuple(int(cell in cells)
-                       for cell in (g for g in gamma_cells(n) if g.level == level))
-                 for level in (n + 1, n, n - 1))
-
-
 def test_birkhoff_complement_examples():
-    assert _ones_rows(column_from_set([1, 2, 4, 5], 4)) == (
+    assert chi(column_from_set([1, 2, 4, 5], 4)) == (
         (1, 1, 1, 1), (1, 1, 1, 0), (1, 1, 0))
-    assert _ones_rows(column_from_set([1, 4], 4)) == (
+    assert chi(column_from_set([1, 4], 4)) == (
         (1, 1, 0, 0), (1, 1, 0, 0), (1, 0, 0))
-    assert _ones_rows(C("Jp", 0, 4)) == ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0))
+    assert chi(C("Jp", 0, 4)) == ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0))
 
 
 def test_order_matches_zero_set_inclusion():
@@ -198,7 +196,7 @@ def test_zero_sets_are_order_decreasing():
     # within each level, ones form a prefix, and prefixes shrink downward
     for n in range(2, 7):
         for c in elements(n):
-            rows = _ones_rows(c)
+            rows = chi(c)
             for row in rows:
                 assert all(row[i] >= row[i + 1] for i in range(len(row) - 1))
             m1, m2, m3 = (sum(row) for row in rows)

@@ -6,39 +6,48 @@ from conftest import (
     assemble_rows,
     chain_order_type,
     chains_up_to,
+    column_from_set,
     diagram_pairs,
     incomparable_pair_count,
+    is_semistandard,
     natural_sl2_weight,
     standard_oracle,
     triple_oracle,
 )
-from sympbranch import diagrams, monomials
+from sympbranch import monomials
 from sympbranch.diagrams import (
     EQ,
     GE,
     LE,
+    enumerate_middle,
+    middle_ranges,
     multiplicity,
     normalize,
     order_type_of,
     part,
-    tl_weight,
+    tl_weights,
 )
-from sympbranch.lattice import ColumnIndex, column_from_set, elements
+from sympbranch.lattice import ColumnIndex, elements
 from sympbranch.monomials import (
     StandardMonomial,
-    Tableau,
-    enumerate_standard,
-    from_triple,
+    build_chains,
     is_chain,
     monomial_triple,
     sample_chain,
     tableau_of_triple,
-    to_tableau,
 )
 
 
 def columns_of(sets, n):
     return tuple(column_from_set(s, n) for s in sets)
+
+
+def tableau(m):
+    return tableau_of_triple(*monomial_triple(m.columns), m.n)
+
+
+def basis(d, f, n):
+    return build_chains(d, f, n, enumerate_middle(d, f, n))
 
 
 WORKED_CHAIN_SETS = ([1, 2, 3, 4], [1, 2, 4, 5], [1, 2, 5], [1, 4], [5])
@@ -79,12 +88,12 @@ def test_shape_examples(worked_chain):
 
 
 def test_tableau_examples(worked_chain):
-    assert to_tableau(worked_chain).rows == (
+    assert tableau(worked_chain).rows == (
         (1, 1, 1, 1, 5), (2, 2, 2, 4), (3, 4, 5), (4, 5))
     small = StandardMonomial(columns_of(([1, 2, 4, 5], [1, 2, 5], [1, 4]), 4), 4)
-    assert to_tableau(small).rows == ((1, 1, 1), (2, 2, 4), (4, 5), (5,))
+    assert tableau(small).rows == ((1, 1, 1), (2, 2, 4), (4, 5), (5,))
     single = StandardMonomial((column_from_set([1, 2], 3),), 3)
-    assert to_tableau(single).rows == ((1,), (2,))
+    assert tableau(single).rows == ((1,), (2,))
 
 
 def test_middle_diagram_examples(worked_chain):
@@ -94,18 +103,18 @@ def test_middle_diagram_examples(worked_chain):
 
 
 def test_from_triple_worked_example(worked_chain):
-    assert from_triple((4, 3, 1), (4, 4, 2, 1), (5, 4, 3, 2), 4) == worked_chain
-    assert from_triple((), (), (), 4) == StandardMonomial((), 4)
-    with pytest.raises(ValueError):
-        from_triple((3,), (1,), (1, 1), 2)
+    assert build_chains((4, 3, 1), (5, 4, 3, 2), 4, [(4, 4, 2, 1)]) == \
+        [worked_chain]
+    assert build_chains((), (), 4, [()]) == [StandardMonomial((), 4)]
+    assert build_chains((3,), (1, 1), 2, [(1,)]) == []  # multiplicity 0
 
 
 def test_round_trip_on_all_small_chains():
     for n in (2, 3, 4):
         seen = {}
         for m in chains_up_to(n, 4 if n < 4 else 3):
-            key = monomial_triple(m.columns)
-            assert from_triple(*key, n) == m
+            key = d, e, f = monomial_triple(m.columns)
+            assert build_chains(d, f, n, [e]) == [m]
             assert key not in seen, f"{m} and {seen[key]} collide"
             seen[key] = m
 
@@ -115,7 +124,6 @@ def test_tableau_of_triple_matches_the_column_oracle():
         for m in chains_up_to(n, 4 if n < 4 else 3):
             tableau = tableau_of_triple(*monomial_triple(m.columns), n)
             assert tableau.rows == assemble_rows(m.columns)
-            assert to_tableau(m) == tableau
 
 
 def test_semistandard_iff_chain():
@@ -123,44 +131,54 @@ def test_semistandard_iff_chain():
     for n in (2, 3, 4):
         for k in (1, 2, 3):
             for combo in combinations_with_replacement(elements(n), k):
-                tableau = Tableau(assemble_rows(combo))
-                assert tableau.is_semistandard() == is_chain(combo)
+                assert is_semistandard(assemble_rows(combo)) == is_chain(combo)
 
 
 def test_enumerate_standard_counts():
-    basis = enumerate_standard((4, 3, 1), (5, 4, 3, 2), 4)
-    assert len(basis) == 16 == multiplicity((4, 3, 1), (5, 4, 3, 2), 4)
-    for m in basis:
+    chains = basis((4, 3, 1), (5, 4, 3, 2), 4)
+    assert len(chains) == 16 == multiplicity((4, 3, 1), (5, 4, 3, 2), 4)
+    for m in chains:
         d, _, f = monomial_triple(m.columns)
         assert (d, f) == ((4, 3, 1), (5, 4, 3, 2))
-    assert enumerate_standard((), (), 3) == [StandardMonomial((), 3)]
+    assert basis((), (), 3) == [StandardMonomial((), 3)]
 
 
 @settings(max_examples=300)
 @given(diagram_pairs(6, 8))
 def test_enumerate_standard_matches_column_oracle(pair):
     d, f, n = pair
-    basis = enumerate_standard(d, f, n)
-    assert basis == standard_oracle(d, f, n)
+    chains = basis(d, f, n)
+    assert chains == standard_oracle(d, f, n)
     if multiplicity(d, f, n) == 0:
-        assert basis == []
+        assert chains == []
 
 
 def test_enumerate_standard_reads_the_pair_once(monkeypatch):
-    calls = {"check_triple": 0, "transpose": 0}
+    calls = {"__post_init__": 0, "transpose": 0}
 
-    def counted(module, name):
-        real = getattr(module, name)
+    def counted(owner, name):
+        real = getattr(owner, name)
 
         def wrapper(*args):
             calls[name] += 1
             return real(*args)
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    counted(diagrams, "check_triple")
+    counted(StandardMonomial, "__post_init__")
     counted(monomials, "transpose")
-    assert len(enumerate_standard((4, 3, 1), (5, 4, 3, 2), 4)) == 16
-    assert calls == {"check_triple": 0, "transpose": 2}
+    assert len(basis((4, 3, 1), (5, 4, 3, 2), 4)) == 16
+    assert calls == {"__post_init__": 0, "transpose": 2}
+
+
+@settings(max_examples=200)
+@given(diagram_pairs(6, 5), st.randoms(use_true_random=False))
+def test_chains_are_built_in_canonical_order(pair, rng):
+    d, f, n = pair
+    for m in basis(d, f, n):
+        cols = list(m.columns)
+        rng.shuffle(cols)
+        rebuilt = StandardMonomial(tuple(cols), n)
+        assert rebuilt == m and rebuilt.columns == m.columns
 
 
 def test_chain_order_type_examples():
@@ -194,7 +212,8 @@ def test_torus_weight_sum_matches_natural_weight(chains_by_rank):
     for n, chains in chains_by_rank.items():
         for m in chains:
             d, e, f = monomial_triple(m.columns)
-            assert sum(tl_weight(d, e, f, n)) == natural_sl2_weight(m)
+            weight, = tl_weights(middle_ranges(d, f, n), [e])
+            assert sum(weight) == natural_sl2_weight(m)
 
 
 def test_sample_chain(worked_chain):
@@ -207,10 +226,10 @@ def test_sample_chain(worked_chain):
 
 
 def test_tableau_semistandard_predicate():
-    assert Tableau(((1, 1, 2), (2, 3))).is_semistandard()
-    assert not Tableau(((1, 2), (1, 3))).is_semistandard()  # column repeats
-    assert not Tableau(((2, 1),)).is_semistandard()  # row decreases
-    assert not Tableau(((1,), (1, 2))).is_semistandard()  # ragged upward
+    assert is_semistandard(((1, 1, 2), (2, 3)))
+    assert not is_semistandard(((1, 2), (1, 3)))  # column repeats
+    assert not is_semistandard(((2, 1),))  # row decreases
+    assert not is_semistandard(((1,), (1, 2)))  # ragged upward
 
 
 def _interlaced_below(draw, hi, length):
@@ -232,7 +251,8 @@ def doubly_interlacing_triples(draw):
 @given(doubly_interlacing_triples())
 def test_from_triple_round_trips_through_monomial_triple(triple):
     d, e, f, n = triple
-    assert monomial_triple(from_triple(d, e, f, n).columns) == (d, e, f)
+    chain, = build_chains(d, f, n, [e])
+    assert monomial_triple(chain.columns) == (d, e, f)
 
 
 @st.composite
