@@ -322,7 +322,8 @@ def test_in_place_factors_match_dense_products(data):
     assert _scaled(X, left, right) == dense
 
 
-# sha256 prefixes of the sampled points for _GOLDEN_SEEDS at n = 2, 3, 4, 5.
+# sha256 prefixes of the sampled points, and of the points that the
+# invariance and torus checks move them to, for _GOLDEN_SEEDS at n = 2..5.
 # Failure witnesses are replayed from their seeds, so a seed's point must never
 # drift: a sampler change that keeps every point keeps these digests.
 _GOLDEN_SEEDS = (0, 1, 7, 101, 2**64 - 59)
@@ -335,12 +336,41 @@ _GOLDEN = {
               "186fcd1e9087f35e", "d94675aab24b7195"],
     "upper_embedded": ["0a6b0760397a4ad2", "4707e910a2a638ee",
                        "e84e3f4a613152e8", "49b60a781e357722"],
+    "rational": ["3f1c70c6ba75e11e", "6f599786e44984fb",
+                 "f6a36772478519a9", "4f1fd0a20eab3299"],
+    "invariance": ["94f8fca5d091e3b9", "32551b6eaa498c1e",
+                   "5c26735c5d30b872", "c1d41fdb4e42e056"],
+    "torus": ["dae0b48c7129ac8d", "936e7664c0336386",
+              "6734cccd86fdb255", "059d5541ef2645c7"],
 }
+
+
+def _invariance_point(n, seed):
+    """u X v, with u, v and X drawn as ``verify_invariance`` draws them."""
+    rng = random.Random(seed)
+    u = random_unipotent(n, "lower", rng.getrandbits(64))
+    v = random_unipotent(n, "upper_embedded", rng.getrandbits(64))
+    X = random_symplectic(n, rng.getrandbits(64))
+    return u @ X @ v
+
+
+def _torus_point(n, seed):
+    """The moved point of ``verify_torus_weight`` for the torus element of
+    ``seed`` at the rational point of ``seed + 1``."""
+    t = random_torus_element(n, seed)
+    return _scaled(random_rational_matrix(n, seed + 1),
+                   t.t + tuple(1 / v for v in reversed(t.t)),
+                   t.s + (1, 1) + tuple(1 / v for v in reversed(t.s)))
+
+
 _SAMPLERS = {
     "symplectic": lambda n, s: random_symplectic(n, s),
     "symplectic-3": lambda n, s: random_symplectic(n, s, factors=3),
     "lower": lambda n, s: random_unipotent(n, "lower", s),
     "upper_embedded": lambda n, s: random_unipotent(n, "upper_embedded", s),
+    "rational": random_rational_matrix,
+    "invariance": _invariance_point,
+    "torus": _torus_point,
 }
 
 
