@@ -64,11 +64,15 @@ def _emit(payload: dict, text_lines: list[str], as_json: bool) -> None:
     print(_dumps(payload) if as_json else "\n".join(text_lines))
 
 
-def _middles(d, f, n: int) -> list:
-    """The middle diagrams of a pair, refused before any is built past the cap."""
+def _check_cap(d, f, n: int) -> None:
+    """Refuse a pair of multiplicity past the cap before anything is built."""
     if (count := diagrams.multiplicity(d, f, n)) > LISTING_CAP:
         raise ValueError(f"multiplicity {count} is over the listing cap "
                          f"{LISTING_CAP}")
+
+
+def _middles(d, f, n: int) -> list:
+    _check_cap(d, f, n)
     return diagrams.enumerate_middle(d, f, n)
 
 
@@ -145,6 +149,8 @@ def _cmd_verify(args) -> int:
     names = _SUITES[:-1] if args.suite == "all" else (args.suite,)
     d = _parse_diagram(args.D) if args.D is not None else None
     f = _parse_diagram(args.F) if args.F is not None else None
+    if d is not None and f is not None:
+        _check_cap(d, f, args.n)
     suites = {"relations": exacteval.relations_suite,
               "invariance": exacteval.invariance_suite,
               "torus": exacteval.torus_suite,

@@ -1,24 +1,24 @@
 """Exact evaluation of the minor generators and randomized identity checks.
 
-Everything here is exact arithmetic on small matrices.  Generators are
-top-left minors, evaluated all together and never one at a time: the 4n-2
-of them come from one fraction-free (Bareiss) sweep of the top n rows in
-integers (``_minor_sweep``), with one elimination per minor when a leading
-minor is zero; ``delta_table`` scales rational rows to integers first and
-divides the scales back out.  Group elements act
-without building their factors (so sampled ones are exactly symplectic): a
-square-zero root exponential 1 + c E_ij adds c times column i to column j, and
-a torus element scales columns, or rows and columns when it acts on both
-sides.  Points are sampled in integers over one denominator per column, only
-the rows that the caller reads (the certificate reads the top n), then
-wrapped.  A check builds its moved point once per trial and compares one
-generator table there with one at X.  ``verify relations`` checks the
-relations that ``straighten`` applies: it reads each from
-``straighten.quadratic_relation`` and multiplies its factors' values from one
-generator table.  The independence certificate never wraps: its rows are
-integer chain values from the sampled integer rows, one scale per weight
-block and point, and a block is ranked modulo the prime 2^61 - 1, with an
-exact rank of the same integer rows when that falls short (a rank modulo a
+A point is a pair (num, q): integer rows num and positive column
+denominators q, entry (r, j) = num[r][j] / q[j].  Samplers return points,
+checks move them, and every elimination runs on integer rows.  A minor of a
+point is the integer minor of num over the product of the q_j of its
+columns.  Generators are top-left minors, evaluated all together and never
+one at a time: the 4n-2 of them come from one fraction-free (Bareiss) sweep
+of the top n rows (``_minor_sweep``), with one elimination per minor when a
+leading minor is zero.  Group elements act without building their factors
+(so sampled ones are exactly symplectic): a square-zero root exponential
+1 + c E_ij adds c times column i to column j, and a torus element scales
+columns, or rows and columns when it acts on both sides.  Samplers build
+only the rows that the caller reads (the certificate reads the top n).  A
+check builds its moved point once per trial and compares one generator table
+there with one at X.  ``verify relations`` checks the relations that
+``straighten`` applies: it reads each from ``straighten.quadratic_relation``
+and multiplies its factors' values from one generator table.  The
+independence certificate ranks integer chain values, one scale per weight
+block and point, modulo the prime 2^61 - 1, with an exact rank of the same
+integer rows for a block still short after the last trial (a rank modulo a
 prime is never more than over Q, so a full one is a proof).
 """
 
@@ -36,59 +36,19 @@ from sympbranch.monomials import (StandardMonomial, build_chains,
                                   monomial_triple, sample_chain)
 from sympbranch.straighten import quadratic_relation
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
-def _exact(x):
-    """x if it is an int or a Fraction, else Fraction(x) (a slow type check)."""
-    return x if type(x) is int or type(x) is Fraction else Fraction(x)
-
-
-class ExactMatrix:
-    """Square matrix with rational entries, each an int or a Fraction."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(map(_exact, row)) for row in rows)
-        if any(len(row) != len(self.rows) for row in self.rows):
-            raise ValueError("matrix must be square")
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        cols = list(zip(*other.rows))
-        return ExactMatrix([[sum(a * b for a, b in zip(row, col))
-                             for col in cols] for row in self.rows])
-
-    def __eq__(self, other):
-        return isinstance(other, ExactMatrix) and self.rows == other.rows
-
-    def __repr__(self):
-        return f"ExactMatrix({self.size}x{self.size})"
-
 
 def _identity_rows(size: int) -> list[list[int]]:
     return [[int(i == j) for j in range(size)] for i in range(size)]
 
 
-def _bareiss(rows) -> tuple[int, int, int]:
-    """Fraction-free elimination of the rows scaled to integers: (rank, last
-    pivot signed by the row swaps, product of the row scales).  At full rank
-    on a square input that pivot is the determinant of the integer rows."""
-    work, scale = [], 1
-    for row in rows:
-        row = list(map(_exact, row))
-        if work and len(row) != len(work[0]):
-            raise ValueError("rows must have equal length")
-        s = math.lcm(*(x.denominator for x in row)) if row else 1
-        work.append([x.numerator * (s // x.denominator) for x in row])
-        scale *= s
+def _bareiss(rows) -> tuple[int, int]:
+    """Fraction-free elimination of integer rows: (rank, last pivot signed by
+    the row swaps).  At full rank on a square input that pivot is the
+    determinant."""
+    work = [list(row) for row in rows]
     n_rows, n_cols = len(work), len(work[0]) if work else 0
+    if any(len(row) != n_cols for row in work):
+        raise ValueError("rows must have equal length")
     rank, prev, sign = 0, 1, 1
     for c in range(n_cols):
         pivot = next((r for r in range(rank, n_rows) if work[r][c]), None)
@@ -106,20 +66,21 @@ def _bareiss(rows) -> tuple[int, int, int]:
                 work[r][j] = quot
         prev = work[rank][c]
         rank += 1
-    return rank, sign * prev, scale
+    return rank, sign * prev
 
 
-def det(rows) -> Fraction:
-    """Determinant of a square matrix: the signed last Bareiss pivot over
-    the product of the row scales, or 0 below full rank."""
+def det(rows) -> int:
+    """Determinant of a square integer matrix: the signed last Bareiss pivot,
+    or 0 below full rank."""
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant needs a square matrix")
-    rank, pivot, scale = _bareiss(rows)
-    return Fraction(pivot, scale) if rank == len(rows) else _ZERO
+    rank, pivot = _bareiss(rows)
+    return pivot if rank == len(rows) else 0
 
 
 def exact_rank(rows) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
+    """Rank over the rationals of integer rows, by fraction-free (Bareiss)
+    elimination."""
     return _bareiss(rows)[0]
 
 
@@ -161,24 +122,18 @@ def _minor_sweep(rows, n: int) -> list[int]:
 
 def _minors_one_by_one(rows, n: int) -> list[int]:
     """``_minor_sweep``'s output with one elimination per minor."""
-    return [int(det([[row[j - 1] for j in c.column_set()]
-                     for row in rows[:c.size()]])) for c in _generators(n)]
+    return [det([[row[j - 1] for j in c.column_set()] for row in rows[:c.size()]])
+            for c in _generators(n)]
 
 
-def delta_table(n: int, X: ExactMatrix) -> dict[ColumnIndex, Fraction]:
-    """All generator values at one point from one ``_minor_sweep``: the top
-    n rows are scaled to integers once, and a minor on the top k rows is
-    divided by the product of their k scales."""
-    if X.size != 2 * n:
-        raise ValueError(f"matrix size {X.size} does not match rank {n}")
-    top, scales = [], [1]
-    for row in X.rows[:n]:
-        row = row[:n + 1]
-        s = math.lcm(*(x.denominator for x in row))
-        top.append([x.numerator * (s // x.denominator) for x in row])
-        scales.append(scales[-1] * s)
-    return {c: Fraction(v, scales[c.size()])
-            for c, v in zip(_generators(n), _minor_sweep(top, n))}
+def delta_table(n: int, X) -> dict[ColumnIndex, Fraction]:
+    """All generator values at the point X from one ``_minor_sweep`` of its
+    numerators, each minor over the product of its columns' denominators."""
+    num, q = X
+    if len(q) != 2 * n:
+        raise ValueError(f"point of size {len(q)} does not match rank {n}")
+    return {c: Fraction(v, math.prod([q[j - 1] for j in c.column_set()]))
+            for c, v in zip(_generators(n), _minor_sweep(num, n))}
 
 
 # --- exact group elements ----------------------------------------------------
@@ -220,9 +175,7 @@ def _lower_root(n: int, a: int, b: int, c: int):
     return (n + a, b, c), (2 * n + 1 - b, n + 1 - a, c)
 
 
-# A point being sampled is integer rows num over one denominator q_j per
-# column, entry (r, j) = num[r][j] / q_j; each factor right-multiplies it in
-# place, and _wrap reduces each entry once.
+# Each factor right-multiplies a point in place.
 
 def _root_step(num, q, entries) -> None:
     """Column j += c * column i over L = lcm(q_i, q_j).  The columns written
@@ -246,29 +199,45 @@ def _torus_step(num, q, values) -> None:
     q[n:] = [d * abs(v) for d, v in zip(q[n:], reversed(values))]
 
 
-def _wrap(num, q) -> ExactMatrix:
-    return ExactMatrix([[Fraction(x, d) for x, d in zip(row, q)] for row in num])
+def _product(a, b):
+    """The point a @ b: a's columns are brought to L = lcm(q_a), so the
+    numerators multiply as integers over the denominators L * q_b."""
+    (a_num, a_q), (b_num, b_q) = a, b
+    common = math.lcm(*a_q)
+    up = [common // d for d in a_q]
+    rows = [[x * s for x, s in zip(row, up)] for row in a_num]
+    cols = list(zip(*b_num))
+    return ([[sum(x * y for x, y in zip(row, col)) for col in cols]
+             for row in rows], [common * d for d in b_q])
+
+
+def _scaled(X, left, right):
+    """The point diag(left)^-1 @ X @ diag(right) for rational diagonals: the
+    right one goes into the column denominators, and the left one into row
+    scales over A = lcm of the left numerators."""
+    num, q = X
+    common = math.lcm(*(v.numerator for v in left))
+    rows = [v.denominator * (common // v.numerator) for v in left]
+    cols = [v.numerator for v in right]
+    return ([[x * s * c for x, c in zip(row, cols)] for row, s in zip(num, rows)],
+            [d * v.denominator * common for d, v in zip(q, right)])
 
 
 _UNITS = (1, 2, 3, -1, -2, -3)
 
 
-def random_symplectic(n: int, seed: int, factors: int | None = None) -> ExactMatrix:
+def random_symplectic(n: int, seed: int, rows: int | None = None,
+                      factors: int | None = None):
     """Seeded product of torus factors and root exponentials, each applied in
-    place to the integer point of the identity and wrapped once.
+    place to the identity point: the point of its top ``rows`` rows, all 2n
+    by default.  The factors only combine and scale columns, so fewer rows
+    draw the same.
 
     ``factors=0`` gives the identity; by default the factor count is drawn
     as 4 to 6 sweeps of n(n+1)/2 factors, enough mixing for the sampled
     points to certify rank statements.  Every output preserves the
     symplectic form exactly.
     """
-    return _wrap(*_sample_symplectic(n, seed, 2 * n, factors))
-
-
-def _sample_symplectic(n: int, seed: int, rows: int, factors: int | None = None):
-    """The top ``rows`` rows of ``random_symplectic`` before wrapping: integer
-    rows num and column denominators q, entry (r, j) = num[r][j] / q_j.  The
-    factors only combine and scale columns, so fewer rows draw the same."""
     if n < 2:
         raise ValueError(f"rank must be at least 2, got {n}")
     rng = random.Random(seed)
@@ -289,27 +258,13 @@ def _sample_symplectic(n: int, seed: int, rows: int, factors: int | None = None)
     return num, q
 
 
-def embed_subgroup(M: ExactMatrix, n: int) -> ExactMatrix:
-    """Embed a rank n-1 element via the block pattern [[A,0,B],[0,I,0],[C,0,D]]."""
-    m = n - 1
-    if M.size != 2 * m:
-        raise ValueError(f"expected a {2 * m}x{2 * m} matrix")
-
-    spread = [i if i < m else i + 2 for i in range(2 * m)]
-    rows = _identity_rows(2 * n)
-    for i, row in zip(spread, M.rows):
-        for j, x in zip(spread, row):
-            rows[i][j] = x
-    return ExactMatrix(rows)
-
-
-def random_unipotent(n: int, which: str, seed: int,
-                     factors: int | None = None) -> ExactMatrix:
-    """Unit-triangular symplectic element of a named subgroup.
+def random_unipotent(n: int, which: str, seed: int, factors: int | None = None):
+    """Unit-triangular symplectic element of a named subgroup, as a point.
 
     ``which`` is "lower" for the opposite maximal unipotent at rank n, or
-    "upper_embedded" for the rank n-1 upper unipotent under the block
-    embedding.  ``factors=0`` gives the identity.
+    "upper_embedded" for the rank m = n-1 upper unipotent under the block
+    embedding [[A,0,B],[0,I,0],[C,0,D]], which sends its indices 1..m and
+    m+1..2m to 1..m and m+3..2m+2.  ``factors=0`` gives the identity.
     """
     if n < 2:
         raise ValueError(f"rank must be at least 2, got {n}")
@@ -318,25 +273,29 @@ def random_unipotent(n: int, which: str, seed: int,
     rng = random.Random(seed)
     count = rng.randint(2 * n, 4 * n) if factors is None else factors
     lower = which == "lower"
-    m = n if lower else n - 1
-    num, q = _identity_rows(2 * m), [1] * (2 * m)
+    m, gap = (n, 0) if lower else (n - 1, 2)
+    num, q = _identity_rows(2 * n), [1] * (2 * n)
     for _ in range(count):
         c = rng.randint(-3, 3)
         if m >= 2 and rng.randrange(2):
             a, b = sorted(rng.sample(range(1, m + 1), 2), reverse=lower)
-            _root_step(num, q, _diag_root(m, a, b, c))
+            entries = _diag_root(m, a, b, c)
         else:
             a, b = rng.randint(1, m), rng.randint(1, m)
-            _root_step(num, q, (_lower_root if lower else _upper_root)(m, a, b, c))
-    out = _wrap(num, q)
-    return out if lower else embed_subgroup(out, n)
+            entries = (_lower_root if lower else _upper_root)(m, a, b, c)
+        _root_step(num, q, [(i + gap * (i > m), j + gap * (j > m), v)
+                            for i, j, v in entries])
+    return num, q
 
 
-def random_rational_matrix(n: int, seed: int) -> ExactMatrix:
-    """Generic 2n x 2n matrix with small rational entries."""
+def random_rational_matrix(n: int, seed: int):
+    """Generic 2n x 2n point with small rational entries a/b, a drawn from
+    -9..9 and then b from 1..9, over the lcm of each column's b."""
     rng = random.Random(seed)
-    return ExactMatrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                         for _ in range(2 * n)] for _ in range(2 * n)])
+    rows = [[(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2 * n)]
+            for _ in range(2 * n)]
+    q = [math.lcm(*(b for _, b in col)) for col in zip(*rows)]
+    return [[a * (d // b) for (a, b), d in zip(row, q)] for row in rows], q
 
 
 def _unit_fractions(rng: random.Random, k: int) -> list[Fraction]:
@@ -350,12 +309,13 @@ def random_torus_element(n: int, seed: int) -> TorusElement:
 
 # --- verification ------------------------------------------------------------
 
-def verify_straightening_identity(X: ExactMatrix) -> bool:
-    """Each ``straighten.quadratic_relation`` holds exactly at X: the pair's
-    value is the meet-join term's minus the skew term's."""
-    if X.size % 2 or X.size < 4:
-        raise ValueError("expected a 2n x 2n matrix with n >= 2")
-    n = X.size // 2
+def verify_straightening_identity(X) -> bool:
+    """Each ``straighten.quadratic_relation`` holds exactly at the point X:
+    the pair's value is the meet-join term's minus the skew term's."""
+    size = len(X[1])
+    if size % 2 or size < 4:
+        raise ValueError("expected a 2n x 2n point with n >= 2")
+    n = size // 2
     table = delta_table(n, X)
     for i in range(1, n):
         pair, meet, skew = (table[a] * table[b] for a, b in quadratic_relation(i, n))
@@ -367,7 +327,7 @@ def verify_straightening_identity(X: ExactMatrix) -> bool:
 def _moved_misses(targets, X, moved, character) -> list[StandardMonomial]:
     """The chains among ``targets`` whose value at ``moved`` is not
     character(chain) times their value at X, from one table at each point."""
-    n = X.size // 2
+    n = len(X[1]) // 2
     before, after = delta_table(n, X), delta_table(n, moved)
     return [m for m in targets if math.prod(after[c] for c in m.columns)
             != character(m) * math.prod(before[c] for c in m.columns)]
@@ -385,19 +345,13 @@ def verify_invariance(monos, seed: int) -> list[StandardMonomial]:
     u = random_unipotent(n, "lower", rng.getrandbits(64))
     v = random_unipotent(n, "upper_embedded", rng.getrandbits(64))
     X = random_symplectic(n, rng.getrandbits(64))
-    return _moved_misses(monos, X, u @ X @ v, lambda m: 1)
+    return _moved_misses(monos, X, _product(_product(u, X), v), lambda m: 1)
 
 
-def _scaled(X: ExactMatrix, left, right) -> ExactMatrix:
-    """diag(left)^-1 @ X @ diag(right): entry (i, j) is X_ij * right_j / left_i."""
-    return ExactMatrix([[x * r / lv for x, r in zip(row, right)]
-                        for row, lv in zip(X.rows, left)])
-
-
-def verify_torus_weight(monos, t: TorusElement,
-                        X: ExactMatrix) -> list[StandardMonomial]:
+def verify_torus_weight(monos, t: TorusElement, X) -> list[StandardMonomial]:
     """The chains among ``monos`` that do not scale by their shape character
-    under the two torus actions at X; an empty list certifies the instance."""
+    under the two torus actions at the point X; an empty list certifies the
+    instance."""
     if any(m.n != t.n for m in monos):
         raise ValueError(f"rank mismatch: torus rank {t.n}")
 
@@ -409,17 +363,18 @@ def verify_torus_weight(monos, t: TorusElement,
                             for k, sv in enumerate(t.s, start=1)))
 
     moved = _scaled(X, t.t + tuple(1 / v for v in reversed(t.t)),
-                    t.s + (_ONE, _ONE) + tuple(1 / v for v in reversed(t.s)))
+                    t.s + (1, 1) + tuple(1 / v for v in reversed(t.s)))
     return _moved_misses(monos, X, moved, character)
 
 
-def verify_generator_weight(tdiag, sdiag, X: ExactMatrix) -> list[ColumnIndex]:
+def verify_generator_weight(tdiag, sdiag, X) -> list[ColumnIndex]:
     """The generators that are not weight vectors for the full diagonal
-    actions at X: rows 1..r contribute inverse left entries, columns
-    contribute right ones.  An empty list certifies the instance."""
+    actions at the point X: rows 1..r contribute inverse left entries,
+    columns contribute right ones.  An empty list certifies the instance."""
     tdiag, sdiag = list(map(Fraction, tdiag)), list(map(Fraction, sdiag))
-    if len(tdiag) != X.size or len(sdiag) != X.size:
-        raise ValueError("diagonal length must match the matrix size")
+    size = len(X[1])
+    if len(tdiag) != size or len(sdiag) != size:
+        raise ValueError("diagonal length must match the point size")
     if any(v == 0 for v in tdiag + sdiag):
         raise ValueError("diagonal entries must be nonzero")
 
@@ -428,7 +383,7 @@ def verify_generator_weight(tdiag, sdiag, X: ExactMatrix) -> list[ColumnIndex]:
         return (math.prod(sdiag[j - 1] for j in cset)
                 / math.prod(tdiag[:len(cset)]))
 
-    n = X.size // 2
+    n = size // 2
     gens = [StandardMonomial((c,), n) for c in elements(n)]
     misses = _moved_misses(gens, X, _scaled(X, tdiag, sdiag), character)
     return [m.columns[0] for m in misses]
@@ -470,13 +425,6 @@ def _rank_mod_p(rows) -> int:
     return rank
 
 
-def _block_rank(rows) -> int:
-    """Rank over Q of integer rows: modulo ``_PRIME``, or by ``exact_rank`` on
-    the same rows when that falls short of full rank."""
-    rank = _rank_mod_p(rows)
-    return rank if rank == min(len(rows), len(rows[0])) else exact_rank(rows)
-
-
 def independence_certificate(d, f, n: int, seed: int = 0, trials: int = 3) -> dict:
     """Certify that the standard monomials of shape f/d are independent on
     Sp(2n), one SL2 weight block at a time.
@@ -490,17 +438,16 @@ def independence_certificate(d, f, n: int, seed: int = 0, trials: int = 3) -> di
     block is, and a block is when its values at sampled points have full
     column rank.
 
-    A sampled point is integer rows num over column denominators q_j, so a
-    generator is an integer minor of num over the product of the q_j of its
-    columns, and a chain is an integer product over prod_j q_j^mu_j, mu_j
-    its columns that hold j.  The mu_j of a chain are fixed by the pair and
-    its weight, so a block's values are its integer values times one nonzero
-    scale per point, and both have one rank: ``_block_rank`` of the integers.
+    At a sampled point (num, q) a chain is an integer product of minors of
+    num over prod_j q_j^mu_j, mu_j its columns that hold j.  The mu_j of a
+    chain are fixed by the pair and its weight, so a block's values are its
+    integer values times one nonzero scale per point, and both have one rank.
 
     Each trial samples (largest block + 2) points and ranks each block not
-    yet full.  ``rank`` sums the block ranks, ``blocks`` lists
-    [weight, size, rank], and a failure's witness names the pair and each
-    block that fell short.
+    yet full modulo ``_PRIME``; a block still short after the last trial gets
+    the ``exact_rank`` of its integer rows.  ``rank`` sums the block ranks,
+    ``blocks`` lists [weight, size, rank], and a failure's witness names the
+    pair and each block that fell short.
     """
     d, f = diagrams.normalize(d), diagrams.normalize(f)
     monos, blocks = _weight_blocks(d, f, n)
@@ -512,12 +459,15 @@ def independence_certificate(d, f, n: int, seed: int = 0, trials: int = 3) -> di
     rows: list[list[int]] = []
     while sum(ranks.values()) < len(monos) and len(rows) < trials * width:
         for _ in range(width):
-            num, _ = _sample_symplectic(n, rng.getrandbits(64), n)
+            num, _ = random_symplectic(n, rng.getrandbits(64), n)
             minors = _minor_sweep(num, n)
             rows.append([math.prod([minors[k] for k in chain]) for chain in chains])
         for w, cols in blocks.items():
             if ranks[w] < len(cols):
-                ranks[w] = _block_rank([[row[k] for k in cols] for row in rows])
+                ranks[w] = _rank_mod_p([[row[k] for k in cols] for row in rows])
+    for w, cols in blocks.items():
+        if ranks[w] < len(cols):
+            ranks[w] = exact_rank([[row[k] for k in cols] for row in rows])
     report = [[w, len(cols), ranks[w]] for w, cols in sorted(blocks.items())]
     rank = sum(ranks.values())
     cert = {"ok": rank == len(monos), "rank": rank, "monomials": len(monos),

@@ -152,6 +152,7 @@ def hibi_normal_form(p: FormalPolynomial) -> FormalPolynomial:
                              for mono, coeff in p.terms.items()])
 
 
+@cache
 def column_weight(c: ColumnIndex, N: int) -> int:
     """Filtration weight: entries of the column set in base N, top row first."""
     if N <= 2 * c.n:

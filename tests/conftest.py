@@ -1,6 +1,7 @@
 """Shared brute-force oracles, kept independent of the library internals."""
 
 import heapq
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 
 from sympbranch.diagrams import (EQ, GE, LE, enumerate_middle, normalize, part,
                                  transpose)
-from sympbranch.exacteval import ExactMatrix
 from sympbranch.lattice import ColumnIndex, elements, from_ones, leq, parse_column
 from sympbranch.monomials import StandardMonomial
 from sympbranch.straighten import FormalPolynomial, canonical_monomial
@@ -187,6 +187,48 @@ def add_rows(*patterns):
     """Componentwise sum of triples or patterns, rows padded with zeros."""
     return tuple(tuple(map(sum, zip_longest(*rows, fillvalue=0)))
                  for rows in zip(*patterns))
+
+
+class ExactMatrix:
+    """Dense square matrix of Fractions: the oracle that points are read
+    against."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = tuple(tuple(map(Fraction, row)) for row in rows)
+        if any(len(row) != len(self.rows) for row in self.rows):
+            raise ValueError("matrix must be square")
+
+    @property
+    def size(self):
+        return len(self.rows)
+
+    def __matmul__(self, other):
+        if self.size != other.size:
+            raise ValueError("size mismatch")
+        cols = list(zip(*other.rows))
+        return ExactMatrix([[sum(a * b for a, b in zip(row, col))
+                             for col in cols] for row in self.rows])
+
+    def __eq__(self, other):
+        return isinstance(other, ExactMatrix) and self.rows == other.rows
+
+    def __repr__(self):
+        return f"ExactMatrix({self.size}x{self.size})"
+
+
+def point_matrix(num, q):
+    """The dense matrix of a point: entry (r, j) is num[r][j] / q[j]."""
+    return ExactMatrix([[Fraction(x, d) for x, d in zip(row, q)] for row in num])
+
+
+def matrix_point(M):
+    """A point of the dense matrix M, over the lcm of each column's
+    denominators."""
+    q = [math.lcm(*(x.denominator for x in col)) for col in zip(*M.rows)]
+    return ([[x.numerator * (d // x.denominator) for x, d in zip(row, q)]
+             for row in M.rows], q)
 
 
 def unit_plus(size, entries):

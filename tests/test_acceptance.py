@@ -18,6 +18,7 @@ from conftest import (
     eval_poly,
     margin_tensor_factors,
     multiplicity_nonzero,
+    point_matrix,
     satisfies,
 )
 from sympbranch.diagrams import (
@@ -129,7 +130,7 @@ def test_criterion_4_straightening_soundness():
     for k in range(100):
         n = 2 + k % 3
         p = _random_polynomial(n, rng)
-        X = random_rational_matrix(n, rng.getrandbits(64))
+        X = point_matrix(*random_rational_matrix(n, rng.getrandbits(64)))
         if eval_poly(straighten(p), X) != eval_poly(p, X):
             eval_ok = False
     elapsed = time.perf_counter() - start
@@ -280,11 +281,13 @@ def test_criterion_10_basis_theorem_at_scale():
     start = time.perf_counter()
     results = []
     for d, f, n in (((6, 5, 4, 3, 2, 1), (7, 6, 5, 4, 3, 2, 1), 7),
-                    ((8, 6, 4, 2), (10, 8, 6, 4, 2), 5)):
+                    ((8, 6, 4, 2), (10, 8, 6, 4, 2), 5),
+                    ((20, 10), (30, 20, 10), 3)):
         cert = independence_certificate(d, f, n)
         results.append((cert["ok"], cert["rank"], cert["monomials"],
                         multiplicity(d, f, n)))
     elapsed = time.perf_counter() - start
-    report("criterion 10: exact independence at multiplicity 128 and 243",
-           results == [(True, 128, 128, 128), (True, 243, 243, 243)],
+    report("criterion 10: exact independence at multiplicity 128, 243 and "
+           "1,331", results == [(True, 128, 128, 128), (True, 243, 243, 243),
+                                (True, 1331, 1331, 1331)],
            f"{results}, {elapsed:.2f} s")

@@ -338,6 +338,18 @@ def test_listings_past_the_cap_are_refused_before_building(capsys, argv):
     assert "3079296" in err and str(cli.LISTING_CAP) in err
 
 
+@pytest.mark.parametrize("argv", [("independence",), ("all", "--json")])
+def test_certifying_past_the_cap_is_refused_before_building(capsys, argv):
+    # Building the 3,079,296 chains ran out of memory after half a minute,
+    # and the exit code 1 of that crash read as FAIL.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", *argv, "--n", "8", "--D", _HUGE_D,
+                         "--F", _HUGE_F, "--trials", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "3079296" in err and str(cli.LISTING_CAP) in err
+
+
 def test_count_past_the_cap_is_still_printed(capsys):
     code, out, _ = run(capsys, "mult", _HUGE_D, _HUGE_F, "--n", "8", "--json")
     assert code == 0 and json.loads(out)["multiplicity"] == 3079296

@@ -7,24 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (all_diagrams, delta, dense_diagonal, eval_monomial,
-                      eval_poly, identity, is_symplectic, leibniz_det,
-                      natural_sl2_weight, symplectic_form, unit_plus)
+from conftest import (ExactMatrix, all_diagrams, delta, dense_diagonal,
+                      eval_monomial, eval_poly, identity, is_symplectic,
+                      leibniz_det, matrix_point, natural_sl2_weight,
+                      point_matrix, symplectic_form, unit_plus)
 from sympbranch import exacteval
 from sympbranch.diagrams import multiplicity
 from sympbranch.exacteval import (
-    ExactMatrix,
     TorusElement,
     _diag_root,
     _identity_rows,
     _lower_root,
+    _product,
     _root_step,
     _scaled,
     _torus_step,
     _upper_root,
     delta_table,
     det,
-    embed_subgroup,
     exact_rank,
     independence_certificate,
     independence_suite,
@@ -53,17 +53,26 @@ def test_matrix_basics():
     assert m.size == 3 and m.rows[1] == (0, 1, 3)
     with pytest.raises(ValueError):
         ExactMatrix([[1, 2], [3]])
+    half = ExactMatrix([[Fraction(1, 2), 1], [Fraction(-1, 3), 0]])
+    assert matrix_point(half) == ([[3, 1], [-2, 0]], [6, 1])
+    assert point_matrix(*matrix_point(half)) == half
+
+
+def _point_det(X):
+    num, q = X
+    return Fraction(det(num), math.prod(q))
 
 
 def test_det_values():
-    assert det([[Fraction(1, 2), 1], [1, 4]]) == 1
+    assert det([[3, 1], [2, 4]]) == 10 and type(det([[3, 1], [2, 4]])) is int
     assert det([[1, 2], [2, 4]]) == 0
     assert det([]) == 1
     rng = random.Random(1)
     for _ in range(10):
         a = random_rational_matrix(2, rng.getrandbits(64))
         b = random_rational_matrix(2, rng.getrandbits(64))
-        assert det((a @ b).rows) == det(a.rows) * det(b.rows)
+        assert _point_det(_product(a, b)) == _point_det(a) * _point_det(b)
+        assert _point_det(a) == leibniz_det(point_matrix(*a).rows)
     for bad in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1]] * 2):
         with pytest.raises(ValueError):
             det(bad)
@@ -89,12 +98,12 @@ def _rank_oracle(rows):
 
 def test_exact_rank():
     assert exact_rank([[1, 2], [2, 4]]) == 1
-    assert exact_rank([[Fraction(1, 3), 0], [0, Fraction(2, 7)]]) == 2
+    assert exact_rank([[3, 0], [0, -7]]) == 2
     assert exact_rank([]) == 0
     rng = random.Random(7)
     for _ in range(25):
-        rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                 for _ in range(4)] for _ in range(rng.randint(1, 6))]
+        rows = [[rng.randint(-6, 6) for _ in range(4)]
+                for _ in range(rng.randint(1, 6))]
         if rng.randrange(2) and len(rows) > 1:
             rows[-1] = [2 * v for v in rows[0]]  # force a dependency
         assert exact_rank(rows) == _rank_oracle(rows)
@@ -103,7 +112,7 @@ def test_exact_rank():
         exact_rank([[1, 2], [3]])
 
 
-_entries = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+_entries = st.integers(-6, 6)
 
 
 @settings(max_examples=200)
@@ -116,7 +125,7 @@ def test_elimination_matches_leibniz_and_rank_oracles(data):
     rows = data.draw(st.lists(st.lists(_entries, min_size=size, max_size=size),
                               min_size=size, max_size=size))
     for r in range(data.draw(st.integers(0, size))):
-        rows[r][0] = Fraction(0)
+        rows[r][0] = 0
     if size >= 2 and data.draw(st.booleans()):
         source = rows[data.draw(st.integers(0, size - 2))]
         factor = data.draw(_entries)
@@ -126,35 +135,31 @@ def test_elimination_matches_leibniz_and_rank_oracles(data):
         assert exact_rank(rows[:cut]) == _rank_oracle(rows[:cut])
 
 
+_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_elimination_is_the_same_on_ints_fractions_and_mixed_rows(data):
-    # ints and Fractions are used as they are, other numbers go through
-    # Fraction: one matrix given as ints, as Fractions, cell by cell mixed
-    # or as floats has one det and one rank.
+    # A rational matrix, its entries ints and Fractions mixed, is eliminated
+    # as its point: integer rows over column denominators.  Its det is the
+    # int det of the rows over the product of the denominators, and its rank
+    # is the rank of the integer rows.
     size = data.draw(st.integers(1, 5))
-    ints = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=size,
-                                       max_size=size),
+    rows = data.draw(st.lists(st.lists(st.one_of(st.integers(-6, 6), _fractions),
+                                       min_size=size, max_size=size),
                               min_size=size, max_size=size))
     if size >= 2 and data.draw(st.booleans()):
-        ints[-1] = [3 * v for v in ints[0]]
-    fracs = [[Fraction(v) for v in row] for row in ints]
-    mixed = [[Fraction(v) if data.draw(st.booleans()) else v for v in row]
-             for row in ints]
-    floats = [[float(v) for v in row] for row in ints]
-    expected = leibniz_det(fracs)
-    for rows in (ints, fracs, mixed, floats):
-        value = det(rows)
-        assert value == expected and type(value) is Fraction
-        for cut in range(size + 1):
-            assert exact_rank(rows[:cut]) == _rank_oracle(fracs[:cut])
-        matrix = ExactMatrix(rows)
-        assert matrix == ExactMatrix(fracs)
-        assert all(type(x) in (int, Fraction) for row in matrix.rows for x in row)
-    assert [list(map(type, row)) for row in ExactMatrix(mixed).rows] == \
-        [list(map(type, row)) for row in mixed]
-    third = [[Fraction(v, 3) for v in ints[0]]] + mixed[1:]
-    assert det(third) == expected / 3
+        rows[-1] = [3 * v for v in rows[0]]
+    matrix = ExactMatrix(rows)
+    num, q = matrix_point(matrix)
+    assert point_matrix(num, q) == matrix
+    assert all(type(x) is int for row in num for x in row)
+    value = det(num)
+    assert type(value) is int
+    assert Fraction(value, math.prod(q)) == leibniz_det(matrix.rows)
+    for cut in range(size + 1):
+        assert exact_rank(num[:cut]) == _rank_oracle(matrix.rows[:cut])
 
 
 _PRIME_MULTIPLES = st.sampled_from([1, 1, 1, 2, -3, exacteval._PRIME,
@@ -166,8 +171,7 @@ _PRIME_MULTIPLES = st.sampled_from([1, 1, 1, 2, -3, exacteval._PRIME,
 def test_rank_mod_p_never_exceeds_exact_rank(data):
     # Rows are integer combinations of a few random rows (low rank), with
     # some rows scaled by multiples of the prime (zero modulo it but not
-    # over Q).  The rank modulo the prime is a lower bound, and the block
-    # rank, which falls back to exact_rank when it is short, is exact.
+    # over Q).  The rank modulo the prime is a lower bound.
     rows_n, cols_n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
     basis = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols_n,
                                         max_size=cols_n),
@@ -181,14 +185,12 @@ def test_rank_mod_p_never_exceeds_exact_rank(data):
                      for j in range(cols_n)])
     exact = exact_rank(rows)
     assert exacteval._rank_mod_p(rows) <= exact == _rank_oracle(rows)
-    assert exacteval._block_rank(rows) == exact
 
 
 def test_rank_mod_p_falls_short_on_multiples_of_the_prime():
     p = exacteval._PRIME
     rows = [[1, 2], [p, 3 * p]]
     assert exacteval._rank_mod_p(rows) == 1 and exact_rank(rows) == 2
-    assert exacteval._block_rank(rows) == 2
     assert exacteval._rank_mod_p([[p + 1, 2], [1, p + 2]]) == 1
 
 
@@ -199,13 +201,13 @@ def test_delta_examples():
         assert delta(ColumnIndex("I", r, n), eye) == 1
     assert delta(ColumnIndex("J", 0, n), eye) == 0
     X = random_rational_matrix(n, 5)
-    k0 = delta(ColumnIndex("K", 0, n), X)
-    rows = X.rows
+    rows = point_matrix(*X).rows
+    k0 = delta(ColumnIndex("K", 0, n), point_matrix(*X))
     assert k0 == rows[0][n - 1] * rows[1][n] - rows[0][n] * rows[1][n - 1]
     assert delta_table(n, X)[ColumnIndex("K", 0, n)] == k0
-    assert delta_table(n, eye)[ColumnIndex("J", 0, n)] == 0
+    assert delta_table(n, matrix_point(eye))[ColumnIndex("J", 0, n)] == 0
     with pytest.raises(ValueError):
-        delta_table(2, eye)
+        delta_table(2, matrix_point(eye))
 
 
 def test_minor_sweep_matches_each_minor(monkeypatch):
@@ -239,14 +241,15 @@ def test_minor_sweep_matches_each_minor(monkeypatch):
 
 def test_eval_monomial_and_poly():
     n = 4
-    X = random_rational_matrix(n, 11)
+    point = random_rational_matrix(n, 11)
+    X = point_matrix(*point)
     assert eval_monomial((), X) == 1
     chain = sample_chain(n)
     assert eval_monomial(chain.columns, identity(2 * n)) == 0
     p = FormalPolynomial.monomial(chain.columns, 2) + \
         FormalPolynomial.monomial((), Fraction(1, 3))
     assert eval_poly(p, X) == 2 * eval_monomial(chain.columns, X) + Fraction(1, 3)
-    table = delta_table(n, X)
+    table = delta_table(n, point)
     assert all(table[c] == delta(c, X) for c in elements(n))
 
 
@@ -268,37 +271,44 @@ def test_is_symplectic():
 def test_random_symplectic_contract():
     for n in (2, 3, 4):
         for seed in range(34 - 8 * n):
-            X = random_symplectic(n, seed)
-            assert is_symplectic(X)
-            assert det(X.rows) == 1
+            num, q = random_symplectic(n, seed)
+            assert all(type(d) is int and d > 0 for d in q)
+            assert is_symplectic(point_matrix(num, q))
+            assert det(num) == math.prod(q)
     assert random_symplectic(3, 123) == random_symplectic(3, 123)
-    assert random_symplectic(2, 5, factors=0) == identity(4)
+    assert random_symplectic(2, 5, factors=0) == matrix_point(identity(4))
     for n in (2, 3, 5):
         for seed in (0, 7, 2**64 - 59):
             # the top rows alone draw the same: factors only mix columns
-            num, q = exacteval._sample_symplectic(n, seed, 2 * n)
-            assert exacteval._sample_symplectic(n, seed, n) == (num[:n], q)
+            num, q = random_symplectic(n, seed)
+            assert random_symplectic(n, seed, n) == (num[:n], q)
 
 
 _units = st.sampled_from((1, 2, 3, -1, -2, -3))
-
-
-def _point(num, q):
-    """The matrix of an integer point: entry (r, j) is num[r][j] / q[j]."""
-    return ExactMatrix([[Fraction(x, d) for x, d in zip(row, q)] for row in num])
 
 
 @settings(max_examples=200)
 @given(st.data())
 def test_in_place_factors_match_dense_products(data):
     # The integer kernel on random numerators and column denominators: each
-    # root kind and a torus step equal the product with the dense factor.
+    # root kind and a torus step equal the product with the dense factor, the
+    # product of two points equals the dense product, and scaling by two
+    # diagonals (with negative numerators on the left) the dense scaling.
     n = data.draw(st.integers(2, 5))
     size = 2 * n
-    num = [data.draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
-           for _ in range(size)]
-    q = data.draw(st.lists(st.integers(1, 12), min_size=size, max_size=size))
-    X = _point(num, q)
+
+    def draw_point():
+        num = [data.draw(st.lists(st.integers(-9, 9), min_size=size,
+                                  max_size=size)) for _ in range(size)]
+        return num, data.draw(st.lists(st.integers(1, 12), min_size=size,
+                                       max_size=size))
+
+    def point_of(num, q):
+        assert all(type(d) is int and d > 0 for d in q)
+        return point_matrix(num, q)
+
+    num, q = draw_point()
+    X = point_matrix(num, q)
     a, b = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
     c = data.draw(st.integers(-3, 3))
     roots = [_upper_root(n, a, b, c), _lower_root(n, a, b, c)]
@@ -307,19 +317,20 @@ def test_in_place_factors_match_dense_products(data):
     for entries in roots:
         rows, dens = [list(row) for row in num], list(q)
         _root_step(rows, dens, entries)
-        assert all(isinstance(d, int) and d > 0 for d in dens)
-        assert _point(rows, dens) == X @ unit_plus(size, entries)
+        assert point_of(rows, dens) == X @ unit_plus(size, entries)
     values = [data.draw(_units) for _ in range(n)]
     rows, dens = [list(row) for row in num], list(q)
     _torus_step(rows, dens, values)
     torus = dense_diagonal(values + [Fraction(1, v) for v in reversed(values)])
-    assert _point(rows, dens) == X @ torus
+    assert point_of(rows, dens) == X @ torus
+    other = draw_point()
+    assert point_of(*_product((num, q), other)) == X @ point_matrix(*other)
     left = [Fraction(data.draw(_units), data.draw(st.integers(1, 3)))
             for _ in range(size)]
     right = [Fraction(data.draw(_units), data.draw(st.integers(1, 3)))
              for _ in range(size)]
     dense = dense_diagonal([1 / v for v in left]) @ X @ dense_diagonal(right)
-    assert _scaled(X, left, right) == dense
+    assert point_of(*_scaled((num, q), left, right)) == dense
 
 
 # sha256 prefixes of the sampled points, and of the points that the
@@ -351,7 +362,7 @@ def _invariance_point(n, seed):
     u = random_unipotent(n, "lower", rng.getrandbits(64))
     v = random_unipotent(n, "upper_embedded", rng.getrandbits(64))
     X = random_symplectic(n, rng.getrandbits(64))
-    return u @ X @ v
+    return _product(_product(u, X), v)
 
 
 def _torus_point(n, seed):
@@ -377,7 +388,7 @@ _SAMPLERS = {
 def _points_digest(sample, n):
     h = hashlib.sha256()
     for seed in _GOLDEN_SEEDS:
-        for row in sample(n, seed).rows:
+        for row in point_matrix(*sample(n, seed)).rows:
             h.update((",".join(f"{v.numerator}/{v.denominator}" for v in row)
                       + ";").encode())
     return h.hexdigest()[:16]
@@ -392,13 +403,13 @@ def test_sampled_points_match_golden_digests():
 def test_random_unipotent_structure():
     for n in (2, 3):
         for seed in range(8):
-            low = random_unipotent(n, "lower", seed)
+            low = point_matrix(*random_unipotent(n, "lower", seed))
             size = 2 * n
             assert all(low.rows[i][i] == 1 for i in range(size))
             assert all(low.rows[i][j] == 0
                        for i in range(size) for j in range(i + 1, size))
             assert is_symplectic(low)
-            up = random_unipotent(n, "upper_embedded", seed)
+            up = point_matrix(*random_unipotent(n, "upper_embedded", seed))
             assert all(up.rows[i][i] == 1 for i in range(size))
             assert all(up.rows[i][j] == 0
                        for j in range(size) for i in range(j + 1, size))
@@ -409,24 +420,32 @@ def test_random_unipotent_structure():
                            for i in range(size))
                 assert all(up.rows[col][j] == (1 if j == col else 0)
                            for j in range(size))
-    assert random_unipotent(2, "lower", 9, factors=0) == identity(4)
-    assert random_unipotent(2, "upper_embedded", 9, factors=0) == \
-        identity(4)
+    eye = matrix_point(identity(4))
+    assert random_unipotent(2, "lower", 9, factors=0) == eye
+    assert random_unipotent(2, "upper_embedded", 9, factors=0) == eye
     with pytest.raises(ValueError):
         random_unipotent(2, "sideways", 0)
 
 
 def test_embed_subgroup_block_pattern():
-    inner = ExactMatrix([[1, 2], [3, 4]])
-    out = embed_subgroup(inner, 2)
-    assert out.rows == ExactMatrix([[1, 0, 0, 2], [0, 1, 0, 0],
-                                    [0, 0, 1, 0], [3, 0, 0, 4]]).rows
-    with pytest.raises(ValueError):
-        embed_subgroup(inner, 3)
+    # The embedded upper unipotent is [[A,0,B],[0,I,0],[C,0,D]], and
+    # [[A,B],[C,D]] is an upper unit-triangular element of Sp(2n-2): rank
+    # n-1 indices land at 1..n-1 and n+2..2n.
+    for n in (2, 3, 4):
+        keep = [i for i in range(2 * n) if i not in (n - 1, n)]
+        moved = 0
+        for seed in range(6):
+            up = point_matrix(*random_unipotent(n, "upper_embedded", seed))
+            inner = ExactMatrix([[up.rows[i][j] for j in keep] for i in keep])
+            assert is_symplectic(inner)
+            assert all(inner.rows[i][j] == (i == j)
+                       for i in range(2 * n - 2) for j in range(i + 1))
+            moved += inner != identity(2 * n - 2)
+        assert moved >= 4
 
 
 def test_straightening_identity_everywhere():
-    assert verify_straightening_identity(identity(6))
+    assert verify_straightening_identity(matrix_point(identity(6)))
     rng = random.Random(3)
     for n in (2, 3, 4, 5):
         for _ in range(10):
@@ -461,7 +480,8 @@ def test_torus_weight_examples():
     n = 3
     t = TorusElement((Fraction(2), Fraction(3), Fraction(5)),
                      (Fraction(1, 2), Fraction(7)))
-    X = random_rational_matrix(n, 21)
+    point = random_rational_matrix(n, 21)
+    X = point_matrix(*point)
     m = StandardMonomial((ColumnIndex("I", 1, n),), n)
     # shape is F = (1), D = (1): character 2^{-1} * (1/2)^{1}
     left = [2, 3, 5, Fraction(1, 5), Fraction(1, 3), Fraction(1, 2)]
@@ -470,14 +490,14 @@ def test_torus_weight_examples():
         dense_diagonal(right)
     assert eval_monomial(m.columns, moved) == \
         Fraction(1, 4) * eval_monomial(m.columns, X)
-    assert verify_torus_weight([m], t, X) == []
+    assert verify_torus_weight([m], t, point) == []
     targets = [StandardMonomial((c,), n) for c in elements(n)] + [sample_chain(n)]
     for seed in range(10):
         tt = random_torus_element(n, seed)
         XX = random_rational_matrix(n, seed + 100)
         assert verify_torus_weight(targets, tt, XX) == []
     with pytest.raises(ValueError):
-        verify_torus_weight([m], random_torus_element(2, 0), X)
+        verify_torus_weight([m], random_torus_element(2, 0), point)
 
 
 def test_torus_checks_list_exactly_the_moved_targets(monkeypatch):
@@ -490,7 +510,7 @@ def test_torus_checks_list_exactly_the_moved_targets(monkeypatch):
     n = 2
     X = random_rational_matrix(n, 3)
     targets = [StandardMonomial((c,), n) for c in elements(n)] + [sample_chain(n)]
-    assert all(eval_monomial(m.columns, X) for m in targets)
+    assert all(eval_monomial(m.columns, point_matrix(*X)) for m in targets)
     chain = sample_chain(n).tokens()
     # t^-F * s^D: (1, 3) weighs columns with two entries, s = 5 the entry 1
     for t, missed in ((TorusElement((1, 3), (1,)), [["J1"], ["J'1"], ["K0"], chain]),
@@ -508,7 +528,7 @@ def test_torus_suite_moves_each_point_once(monkeypatch):
     calls = []
 
     def counting(X, left, right):
-        calls.append(X.size)
+        calls.append(len(X[1]))
         return _scaled(X, left, right)
 
     monkeypatch.setattr(exacteval, "_scaled", counting)
@@ -569,23 +589,22 @@ def test_chains_scale_by_their_natural_weight():
         tau = ones[:n - 1] + [s, 1 / s] + ones[n + 1:]
         for seed, (d, f) in enumerate(pairs):
             X = random_symplectic(n, seed)
-            moved = _scaled(X, ones, tau)
+            moved = point_matrix(*_scaled(X, ones, tau))
             assert is_symplectic(moved)
             monos = build_chains(d, f, n, enumerate_middle(d, f, n))
             assert len({natural_sl2_weight(m) for m in monos}) > 1
             for m in monos:
                 assert eval_monomial(m.columns, moved) == \
-                    s ** natural_sl2_weight(m) * eval_monomial(m.columns, X)
+                    s ** natural_sl2_weight(m) * \
+                    eval_monomial(m.columns, point_matrix(*X))
 
 
 def _without_column(n, seed, rows):
-    """A generic point with column n+1 zero, where every J' and K minor is 0,
-    as its top integer rows over one denominator per column."""
-    cols = list(zip(*random_rational_matrix(n, seed).rows))
-    q = [math.lcm(*(x.denominator for x in col)) for col in cols]
-    num = [[0 if j == n else int(x * q[j]) for j, x in enumerate(row)]
-           for row in zip(*cols)]
-    return num[:rows], q
+    """The top rows of a generic point with column n+1 zero, where every J'
+    and K minor is 0."""
+    num, q = random_rational_matrix(n, seed)
+    return [[0 if j == n else x for j, x in enumerate(row)]
+            for row in num[:rows]], q
 
 
 def test_certificate_blocks_hold_the_chains_of_their_weight(monkeypatch):
@@ -594,7 +613,7 @@ def test_certificate_blocks_hold_the_chains_of_their_weight(monkeypatch):
     # rank] shows which chains it holds: size counts the chains of natural
     # weight w, rank those among them with no J' and no K.  A block keyed by
     # any other weight, such as #J' - #J, disagrees on the asymmetric pairs.
-    monkeypatch.setattr(exacteval, "_sample_symplectic", _without_column)
+    monkeypatch.setattr(exacteval, "random_symplectic", _without_column)
     asymmetric = 0
     for n in (2, 3):
         for d in all_diagrams(3, n - 1):
@@ -617,7 +636,7 @@ def test_independence_failure_names_pair_and_short_blocks(monkeypatch):
     # Every chain of this pair vanishes at the identity, so with the identity
     # as every point each block falls short, and the witness must say which
     # pair and which blocks, and replay from its seed.
-    monkeypatch.setattr(exacteval, "_sample_symplectic",
+    monkeypatch.setattr(exacteval, "random_symplectic",
                         lambda n, seed, rows: (_identity_rows(2 * n)[:rows],
                                                [1] * (2 * n)))
     report = independence_suite(2, 0, 1, d=(1,), f=(2, 1))
@@ -656,23 +675,37 @@ def test_certificate_at_a_small_prime_falls_back_to_exact_rank(monkeypatch):
     assert len(fallbacks) > len(pairs)
 
 
+def test_certificate_ranks_exactly_only_after_the_last_trial(monkeypatch):
+    # The first trial's 6 points leave a block of this pair short; the second
+    # trial fills it modulo the prime, so no block is ranked exactly.
+    calls = []
+    monkeypatch.setattr(exacteval, "exact_rank",
+                        lambda rows: calls.append(rows) or exact_rank(rows))
+    cert = independence_certificate((5, 1), (7, 6, 1), 3, seed=1)
+    assert (cert["ok"], cert["rank"], cert["points"]) == (True, 20, 12)
+    assert cert["trials_used"] == 2 and calls == []
+
+
 def test_blocks_share_one_scale_per_point():
     # A chain's value at a sampled point is its integer value (minors of num)
     # over prod_j q_j^mu_j, and mu_j is the same for every chain of a weight
     # block, so a block ranks as integers.  Blocks that mixed weights would
-    # mix scales.
+    # mix scales.  The rational values come from Leibniz minors of the dense
+    # matrix.
     gens = exacteval._generators
     for n in (2, 3, 4):
+        points = []
+        for seed in range(2):
+            num, q = random_symplectic(n, 100 * n + seed)
+            dense = point_matrix(num, q)
+            points.append(({c: delta(c, dense) for c in gens(n)},
+                           dict(zip(gens(n), exacteval._minor_sweep(num, n)))))
         for d in all_diagrams(3, n - 1):
             for f in all_diagrams(3, n):
                 if not multiplicity(d, f, n):
                     continue
                 monos, blocks = exacteval._weight_blocks(d, f, n)
-                for seed in range(2):
-                    num, q = exacteval._sample_symplectic(n, 100 * n + seed,
-                                                          2 * n)
-                    table = delta_table(n, exacteval._wrap(num, q))
-                    ints = dict(zip(gens(n), exacteval._minor_sweep(num, n)))
+                for seed, (table, ints) in enumerate(points):
                     for cols in blocks.values():
                         scales = set()
                         for k in cols:

@@ -13,6 +13,7 @@ from conftest import (
     display_key,
     eval_poly,
     incomparable_pair_count,
+    point_matrix,
     poly_from_json,
     rewrite_straighten,
 )
@@ -90,7 +91,7 @@ def test_squared_pair_expansion():
         ((j1, j1, jp0, jp0), 1),
     ])
     for seed in range(20):
-        X = random_rational_matrix(n, seed)
+        X = point_matrix(*random_rational_matrix(n, seed))
         assert eval_poly(st, X) == eval_poly(sq, X)
 
 
@@ -249,7 +250,7 @@ def test_straighten_soundness_random_evaluation():
         for _ in range(20):
             p = random_polynomial(n, rng)
             st = straighten(p)
-            X = random_rational_matrix(n, rng.getrandbits(64))
+            X = point_matrix(*random_rational_matrix(n, rng.getrandbits(64)))
             assert eval_poly(st, X) == eval_poly(p, X)
 
 
