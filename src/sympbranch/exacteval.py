@@ -217,9 +217,10 @@ def _scaled(X, left, right):
     scales over A = lcm of the left numerators."""
     num, q = X
     common = math.lcm(*(v.numerator for v in left))
-    rows = [v.denominator * (common // v.numerator) for v in left]
-    cols = [v.numerator for v in right]
-    return ([[x * s * c for x, c in zip(row, cols)] for row, s in zip(num, rows)],
+    row_scale = [v.denominator * (common // v.numerator) for v in left]
+    col_scale = [v.numerator for v in right]
+    return ([[x * s * c for x, c in zip(row, col_scale)]
+             for row, s in zip(num, row_scale)],
             [d * v.denominator * common for d, v in zip(q, right)])
 
 
