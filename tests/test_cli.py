@@ -439,6 +439,11 @@ _GOLDEN_ARGV = [
     *[("straighten", expr, "--n", n) + rule + mode
       for expr, n in _MANY_TERMS for rule in ((), ("--hibi",))
       for mode in ((), ("--json",))],
+    # Edge cases the benchmark never reaches: empty D and F, multiplicity 0,
+    # and a one-part F.
+    *[(command, d, f, "--n", "2") + mode
+      for d, f in (("", ""), ("3", "1,1"), ("1", "3"))
+      for command in ("basis", "degenerate") for mode in ((), ("--json",))],
 ]
 _GOLDEN_DIGESTS = [
     "ba9c89fbad49bc1a", "f1ca12956cc2513f", "5e08ce23ba1f0202",
@@ -459,6 +464,10 @@ _GOLDEN_DIGESTS = [
     "4da4e4a94e5d69ce", "7497ab659d95b9be", "1a7621ced012b09c",
     "45d754820984f799", "f2887099a0508eed", "39dcad00bd6b3333",
     "cb8753830ca49fa0",
+    "d5f864fbea1596c2", "1693cbe20667e183", "fe33af638027075c",
+    "0cdcd789e764f80c", "8ae76fe788e1801f", "f679e897baa2faae",
+    "eb4f5890a5b5d524", "421e51767e57e4cd", "ef8d099bbe64d74a",
+    "17559d6c9a8b64e5", "7037c79d10e99705", "3475504b95c4b8ca",
 ]
 
 
