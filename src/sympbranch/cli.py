@@ -1,9 +1,8 @@
 """Command line front end: queries, enumeration, rewriting, verification.
 
-``--json`` prints ``json.dumps(payload, indent=2)`` as written by ``_dumps``.
-Before 3.13 the stdlib indents with its pure-Python encoder, a third of the
-time of ``basis`` and ``degenerate``; delete ``_dumps`` once
-``requires-python`` is at least 3.13, where that path is in C."""
+``--json`` prints ``json.dumps(payload, indent=2)`` byte for byte.  ``_dumps``
+writes the payload, but the entries of ``basis`` and ``degenerate`` are written
+from per-pair runs, each token or row encoded once per pair."""
 
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ import sys
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 
-from sympbranch import diagrams, exacteval, hibi, monomials, straighten
+from sympbranch import diagrams, exacteval, hibi, lattice, monomials, straighten
 from sympbranch.diagrams import normalize, order_type_str
 
 SCHEMA = "1"
@@ -37,8 +36,20 @@ def _fmt_diagram(d) -> str:
     return "[" + ",".join(str(p) for p in d) + "]"
 
 
+class _Raw(str):
+    """Text already encoded as ``_dumps`` would write it in place."""
+
+
 # Exact types, so bool is not written as an int.
-_LEAF = {int: int.__repr__, str: encode_basestring_ascii}
+_LEAF = {int: int.__repr__, str: encode_basestring_ascii, _Raw: str.__str__}
+
+
+def _block(items: list, indent: str, brackets: str = "[]") -> str:
+    """Encoded items, one per line one level below indent."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 def _dumps(obj, indent: str = "\n") -> str:
@@ -47,17 +58,45 @@ def _dumps(obj, indent: str = "\n") -> str:
     if leaf is not None:
         return leaf(obj)
     inner = indent + "  "
-    if isinstance(obj, dict) and obj:
-        items = (f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}"
-                 for k, v in obj.items())
-    elif isinstance(obj, (list, tuple)) and obj:
+    if isinstance(obj, dict):
+        return _block([f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}"
+                       for k, v in obj.items()], indent, "{}")
+    if isinstance(obj, (list, tuple)):
         kinds = set(map(type, obj))
         leaf = _LEAF.get(kinds.pop()) if len(kinds) == 1 else None
-        items = map(leaf, obj) if leaf else (_dumps(v, inner) for v in obj)
-    else:
-        return json.dumps(obj)
-    open_, close = "{}" if isinstance(obj, dict) else "[]"
-    return open_ + inner + ("," + inner).join(items) + indent + close
+        return _block([*map(leaf or partial(_dumps, indent=inner), obj)], indent)
+    return json.dumps(obj)
+
+
+_KEY, _ITEM = "\n      ", "\n        "  # a listed entry's keys, their items
+
+
+def _ints(values, indent: str = _KEY) -> str:
+    """``_dumps`` of a flat list of ints, by default as an entry's value."""
+    return _block([*map(str, values)], indent)
+
+
+def _entries(keys, rows) -> list[_Raw]:
+    """A listing's objects: these keys, and each row of values at ``_KEY``."""
+    heads = [f"{_KEY}{encode_basestring_ascii(k)}: " for k in keys]
+    return [_Raw("{" + ",".join(map(str.__add__, heads, values)) + "\n    }")
+            for values in rows]
+
+
+def _chains(d, f, n: int, as_json: bool):
+    """e -> the chain of middle e as printed, [J1,J'0], or in JSON: each run
+    of ``monomials.chain_factors`` is its column's text times its length."""
+    sep, q, close = (_ITEM, '"', _KEY + "]") if as_json else ("", "", "]")
+    frag = {c: f",{sep}{q}{c.token()}{q}" for c in lattice.elements(n)}
+    runs = [(i, lo, hi, frag[j], frag[jp], "".join(map(frag.get, rest)))
+            for i, lo, hi, j, jp, rest in monomials.chain_factors(d, f, n)]
+
+    def write(e) -> str:
+        e += (0,) * (n - len(e))
+        text = "".join([j * (e[i] - lo) + jp * (hi - e[i]) + rest
+                        for i, lo, hi, j, jp, rest in runs])
+        return f"[{text[1:]}{close}" if text else "[]"
+    return write
 
 
 def _emit(payload: dict, text_lines: list[str], as_json: bool) -> None:
@@ -99,19 +138,24 @@ def _cmd_basis(args) -> int:
     d, f, n = _parse_diagram(args.D), _parse_diagram(args.F), args.n
     middles = _middles(d, f, n)
     word = order_type_str(diagrams.order_type_of(d, f, n))
-    chains = zip(monomials.build_chains(d, f, n, middles), middles,
-                 diagrams.tl_weights(diagrams.middle_ranges(d, f, n), middles),
-                 (monomials.tableau_of_triple(d, e, f, n) for e in middles))
+    weights = diagrams.tl_weights(diagrams.middle_ranges(d, f, n), middles)
+    tableaux = (monomials.tableau_of_triple(d, e, f, n) for e in middles)
     if args.json:
-        entries = [{"monomial": m.tokens(), "E": e, "order_type": word,
-                    "tl_weight": w, "tableau": tab.rows} for m, e, w, tab in chains]
+        chain, word = _chains(d, f, n, True), encode_basestring_ascii(word)
+        row = cache(partial(_ints, indent=_ITEM))
+        entries = _entries(
+            ("monomial", "E", "order_type", "tl_weight", "tableau"),
+            ((chain(e), _ints(e), word, _ints(w),
+              _block([*map(row, tab.rows)], _KEY))
+             for e, w, tab in zip(middles, weights, tableaux)))
         print(_dumps({"schema": SCHEMA, "command": "basis", "n": n, "D": d,
                       "F": f, "count": len(middles), "monomials": entries}))
         return 0
+    chain = _chains(d, f, n, False)
     lines = [f"basis(D={_fmt_diagram(d)}, F={_fmt_diagram(f)}, n={n}): "
              f"{len(middles)} standard monomials"]
-    for k, (m, e, w, tab) in enumerate(chains, start=1):
-        lines.append(f"#{k} {m}  E={_fmt_diagram(e)}  type={word}  "
+    for k, (e, w, tab) in enumerate(zip(middles, weights, tableaux), start=1):
+        lines.append(f"#{k} {chain(e)}  E={_fmt_diagram(e)}  type={word}  "
                      f"weight=({','.join(map(str, w))})")
         lines += ["    " + row for row in str(tab).splitlines()]
     print("\n".join(lines))
@@ -171,19 +215,24 @@ def _cmd_verify(args) -> int:
 def _cmd_degenerate(args) -> int:
     d, f, n = _parse_diagram(args.D), _parse_diagram(args.F), args.n
     middles = _middles(d, f, n)
-    chains = zip(monomials.build_chains(d, f, n, middles),
-                 (hibi.pattern_rows(d, e, f, n) for e in middles))
+    # top and bot are checked and padded once; each middle is only padded
+    top, _, bot = hibi.pattern_rows(d, (), f, n)
+    mids = [e + (0,) * (n - len(e)) for e in middles]
     if args.json:
-        entries = [{"monomial": m.tokens(), "top": top, "mid": mid, "bot": bot}
-                   for m, (top, mid, bot) in chains]
+        chain = _chains(d, f, n, True)
+        top, bot = _ints(top), _ints(bot)
+        entries = _entries(("monomial", "top", "mid", "bot"),
+                           ((chain(e), top, _ints(mid), bot)
+                            for e, mid in zip(middles, mids)))
         print(_dumps({"schema": SCHEMA, "command": "degenerate", "n": n,
                       "D": d, "F": f, "count": len(middles),
                       "margin_count": len(middles), "patterns": entries}))
         return 0
+    chain = _chains(d, f, n, False)
     lines = [f"degenerate(D={_fmt_diagram(d)}, F={_fmt_diagram(f)}, n={n})"]
-    for k, (m, p) in enumerate(chains, start=1):
-        lines.append(f"#{k} {m}")
-        lines += ["    " + row for row in hibi.pretty(p).splitlines()]
+    for k, (e, mid) in enumerate(zip(middles, mids), start=1):
+        lines.append(f"#{k} {chain(e)}")
+        lines += ["    " + row for row in hibi.pretty((top, mid, bot)).splitlines()]
     lines.append(f"margin count = {len(middles)} (basis size {len(middles)})")
     print("\n".join(lines))
     return 0
@@ -261,10 +310,15 @@ def main(argv=None) -> int:
         print("error: --n must be at least 2", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # in the try, so that a closed pipe is caught
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout early, as `head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@ A chain of shape F/D is rest(D, F), its I and K columns, times
 J_{i-1}^(e_i - lo_i) J'_{i-1}^(hi_i - e_i) over the middle ranges.  Its
 tableau is the Gelfand-Tsetlin pattern (F, E, D) read row by row: row k
 holds d_k entries k, then e_k - d_k entries n, then f_k - e_k entries n+1
-(d_n = 0, so row n holds only n and n+1).  ``build_chains`` writes each
-chain's columns in ``ColumnIndex.sort_key`` order as it builds them, so its
-chains skip the public constructor's sort and chain check."""
+(d_n = 0, so row n holds only n and n+1).  ``chain_factors`` computes those
+runs once per pair, in ``ColumnIndex.sort_key`` order: ``build_chains`` expands
+them into chains that skip the constructor's sort and check, the CLI into text."""
 
 from __future__ import annotations
 
@@ -98,25 +98,32 @@ def _conjugate(counts) -> Diagram:
                  for k in range(1, counts[-1] + 1))
 
 
-def build_chains(d, f, n: int, middles) -> list[StandardMonomial]:
-    """Chains of shape f/d for these middles, [] at multiplicity 0.  With d', f'
-    conjugate, rest has I_{d'_c} if f'_c = d'_c and K_{d'_c} if f'_c = d'_c + 2.
-    Columns come out in ``sort_key`` order, for i from n-1 down to 0:
-    J_i, J'_i, K_{i-1}, I_i."""
+def chain_factors(d, f, n: int) -> list[tuple]:
+    """Runs (i, lo, hi, J_i, J'_i, rest_i), i = n-1..0, [] at multiplicity 0: the
+    chain of middle e holds e[i] - lo J_i, hi - e[i] J'_i, then rest_i, its I_i and
+    K_{i-1}: I_{d'_c} if f'_c = d'_c, K_{d'_c} if f'_c = d'_c + 2 (' conjugates)."""
     ranges = diagrams.middle_ranges(d, f, n)
     if not all(ranges):
         return []
     ft = transpose(f)
     dt = transpose(d) + (0,) * len(ft)
-    rest = [[] for _ in range(n)]  # rest[i]: its K_{i-1} or I_i columns
+    rest = [[] for _ in range(n)]
     for fc, dc in zip(ft, dt):
         if fc == dc:
             rest[dc].append(ColumnIndex("I", dc, n))
         elif fc == dc + 2:
             rest[dc + 1].append(ColumnIndex("K", dc, n))
-    factors = [(i, r.start, r.stop - 1, ColumnIndex("J", i, n),
-                ColumnIndex("Jp", i, n), rest[i])
-               for i, r in reversed(list(enumerate(ranges)))]
+    return [(i, r.start, r.stop - 1, ColumnIndex("J", i, n),
+             ColumnIndex("Jp", i, n), rest[i])
+            for i, r in reversed(list(enumerate(ranges)))]
+
+
+def build_chains(d, f, n: int, middles) -> list[StandardMonomial]:
+    """Chains of shape f/d for these middles, [] at multiplicity 0, expanded
+    from ``chain_factors``."""
+    factors = chain_factors(d, f, n)
+    if not factors:
+        return []
     pad = (0,) * n
     out = []
     for e in middles:

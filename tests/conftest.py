@@ -13,10 +13,12 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from sympbranch.diagrams import (EQ, GE, LE, enumerate_middle, normalize, part,
-                                 transpose)
+from sympbranch.diagrams import (EQ, GE, LE, enumerate_middle, middle_ranges,
+                                 normalize, order_type_of, order_type_str, part,
+                                 tl_weights, transpose)
+from sympbranch.hibi import pattern_rows
 from sympbranch.lattice import ColumnIndex, elements, from_ones, leq, parse_column
-from sympbranch.monomials import StandardMonomial
+from sympbranch.monomials import StandardMonomial, build_chains, tableau_of_triple
 from sympbranch.straighten import FormalPolynomial, canonical_monomial
 
 # Property tests keep no example database and have no deadline; each test
@@ -181,6 +183,29 @@ def count_patterns(d, f, n):
     bot = tuple(part(d, i) for i in range(1, n))
     return sum(is_order_preserving(top, mid, bot)
                for mid in weakly_decreasing_tuples(part(f, 1), n))
+
+
+def oracle_payload(command, d, f, n):
+    """The payload of ``basis`` or ``degenerate --json`` for a normalized pair,
+    built as an object tree: each entry a dict of the library's chain tokens,
+    tableau rows, torus weights or pattern rows."""
+    middles = enumerate_middle(d, f, n)
+    chains = build_chains(d, f, n, middles)
+    payload = {"schema": "1", "command": command, "n": n, "D": d, "F": f,
+               "count": len(middles)}
+    if command == "basis":
+        word = order_type_str(order_type_of(d, f, n))
+        weights = tl_weights(middle_ranges(d, f, n), middles)
+        payload["monomials"] = [
+            {"monomial": m.tokens(), "E": e, "order_type": word, "tl_weight": w,
+             "tableau": tableau_of_triple(d, e, f, n).rows}
+            for m, e, w in zip(chains, middles, weights)]
+        return payload
+    payload["margin_count"] = len(middles)
+    payload["patterns"] = [dict(zip(("monomial", "top", "mid", "bot"),
+                                    (m.tokens(), *pattern_rows(d, e, f, n))))
+                           for m, e in zip(chains, middles)]
+    return payload
 
 
 def add_rows(*patterns):

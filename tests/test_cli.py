@@ -3,14 +3,18 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assemble_rows, diagram_pairs, margin_tl_weight
-from sympbranch import cli, diagrams, hibi
+import sympbranch
+from conftest import assemble_rows, diagram_pairs, margin_tl_weight, oracle_payload
+from sympbranch import cli, diagrams, hibi, monomials
 from sympbranch.cli import main
 from sympbranch.lattice import parse_column
 from sympbranch.monomials import StandardMonomial
@@ -217,14 +221,73 @@ def _count_calls(monkeypatch, module, name, calls):
 
 
 def test_basis_json_reads_the_pair_once(capsys, monkeypatch):
-    # one enumeration, and no chain re-sorted or re-checked by the public
-    # constructor: build_chains writes each in order
-    calls = {"__post_init__": 0}
+    # one enumeration and one set of chain runs; no chain is built as columns
+    calls = {"__post_init__": 0, "build_chains": 0}
     _count_calls(monkeypatch, diagrams, "enumerate_middle", calls)
     _count_calls(monkeypatch, StandardMonomial, "__post_init__", calls)
+    _count_calls(monkeypatch, monomials, "build_chains", calls)
+    _count_calls(monkeypatch, monomials, "chain_factors", calls)
     code, out, _ = run(capsys, "basis", "4,3,1", "5,4,3,2", "--n", "4", "--json")
     assert code == 0 and json.loads(out)["count"] == 16
-    assert calls == {"__post_init__": 0, "enumerate_middle": 1}
+    assert calls == {"__post_init__": 0, "build_chains": 0,
+                     "enumerate_middle": 1, "chain_factors": 1}
+
+
+@pytest.mark.parametrize("as_json", [(), ("--json",)])
+def test_degenerate_checks_top_and_bot_once_per_pair(capsys, monkeypatch, as_json):
+    # multiplicities 4, 16 and 1728: the pair's rows are checked once
+    for d, f, n, count in (("3,2", "3,3,2,1", "4", 4),
+                           ("4,3,1", "5,4,3,2", "4", 16),
+                           ("12,9,6,4,2", "15,12,9,6,4,2", "6", 1728)):
+        calls = {}
+        _count_calls(monkeypatch, hibi, "pattern_rows", calls)
+        code, out, _ = run(capsys, "degenerate", d, f, "--n", n, *as_json)
+        monkeypatch.undo()
+        assert code == 0
+        assert (f'"count": {count},' if as_json else f"margin count = {count} ") in out
+        assert calls == {"pattern_rows": 1}
+
+
+@settings(max_examples=150)
+@given(diagram_pairs(6, 4), st.sampled_from(("basis", "degenerate")))
+@example(((), (), 2), "basis")
+@example(((), (), 2), "degenerate")
+@example(((3,), (1, 1), 2), "basis")
+@example(((3,), (1, 1), 2), "degenerate")
+@example(((1,), (3,), 2), "basis")
+@example(((1,), (3,), 2), "degenerate")
+@example(((), (2,), 3), "basis")
+@example(((2,), (), 2), "degenerate")
+@example(((2, 1, 1, 1), (3, 2, 1, 1, 1), 6), "basis")
+def test_listings_match_the_object_tree_oracle(pair, command):
+    d, f, n = pair
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main([command, ",".join(map(str, d)), ",".join(map(str, f)),
+                     "--n", str(n), "--json"])
+    assert code == 0
+    expected = json.dumps(oracle_payload(command, d, f, n), indent=2) + "\n"
+    assert buffer.getvalue() == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ("basis", "12,9,6,4,2", "15,12,9,6,4,2", "--n", "6", "--json"),
+    ("mult", "12,9,6,4,2", "15,12,9,6,4,2", "--n", "6", "--list", "--json"),
+])
+def test_closed_stdout_exits_without_a_traceback(argv):
+    # Each prints far more than a pipe holds, so the write after the reader
+    # has gone fails with EPIPE.
+    src = os.path.dirname(os.path.dirname(sympbranch.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    with subprocess.Popen([sys.executable, "-m", "sympbranch.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code != 0
+    assert err == b""
 
 
 def test_degenerate_json_builds_no_text(capsys, monkeypatch):
