@@ -87,7 +87,7 @@ def _chains(d, f, n: int, as_json: bool):
     """e -> the chain of middle e as printed, [J1,J'0], or in JSON: each run
     of ``monomials.chain_factors`` is its column's text times its length."""
     sep, q, close = (_ITEM, '"', _KEY + "]") if as_json else ("", "", "]")
-    frag = {c: f",{sep}{q}{c.token()}{q}" for c in lattice.elements(n)}
+    frag = {c: f",{sep}{q}{c.token()}{q}" for c in lattice.elements(n)}  # no escapes
     runs = [(i, lo, hi, frag[j], frag[jp], "".join(map(frag.get, rest)))
             for i, lo, hi, j, jp, rest in monomials.chain_factors(d, f, n)]
 

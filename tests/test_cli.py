@@ -272,11 +272,11 @@ def test_listings_match_the_object_tree_oracle(pair, command):
 
 @pytest.mark.parametrize("argv", [
     ("basis", "12,9,6,4,2", "15,12,9,6,4,2", "--n", "6", "--json"),
-    ("mult", "12,9,6,4,2", "15,12,9,6,4,2", "--n", "6", "--list", "--json"),
+    ("mult", "20,15,10,5,2", "25,20,15,10,5,2", "--n", "6", "--list", "--json"),
 ])
 def test_closed_stdout_exits_without_a_traceback(argv):
-    # Each prints far more than a pipe holds, so the write after the reader
-    # has gone fails with EPIPE.
+    # Each prints more than a megabyte, far more than a pipe holds, so a
+    # write after the reader has gone fails with EPIPE.
     src = os.path.dirname(os.path.dirname(sympbranch.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     with subprocess.Popen([sys.executable, "-m", "sympbranch.cli", *argv],
