@@ -1,15 +1,12 @@
 """Exact combinatorics and verification for symplectic branching data."""
 
 from sympbranch import diagrams, exacteval, hibi, lattice, monomials, straighten  # noqa: F401
-from sympbranch.exacteval import TorusElement
 from sympbranch.lattice import ColumnIndex
-from sympbranch.monomials import StandardMonomial, Tableau
 from sympbranch.straighten import FormalPolynomial
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ColumnIndex", "FormalPolynomial",
-    "StandardMonomial", "Tableau", "TorusElement",
     "diagrams", "exacteval", "hibi", "lattice", "monomials", "straighten",
 ]

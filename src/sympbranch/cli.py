@@ -146,7 +146,7 @@ def _cmd_basis(args) -> int:
         entries = _entries(
             ("monomial", "E", "order_type", "tl_weight", "tableau"),
             ((chain(e), _ints(e), word, _ints(w),
-              _block([*map(row, tab.rows)], _KEY))
+              _block([*map(row, tab)], _KEY))
              for e, w, tab in zip(middles, weights, tableaux)))
         print(_dumps({"schema": SCHEMA, "command": "basis", "n": n, "D": d,
                       "F": f, "count": len(middles), "monomials": entries}))
@@ -157,7 +157,7 @@ def _cmd_basis(args) -> int:
     for k, (e, w, tab) in enumerate(zip(middles, weights, tableaux), start=1):
         lines.append(f"#{k} {chain(e)}  E={_fmt_diagram(e)}  type={word}  "
                      f"weight=({','.join(map(str, w))})")
-        lines += ["    " + row for row in str(tab).splitlines()]
+        lines += ["    " + " ".join(map(str, row)) for row in tab]
     print("\n".join(lines))
     return 0
 

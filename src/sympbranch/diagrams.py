@@ -63,8 +63,9 @@ def multiplicity(d, f, n: int) -> int:
 
 
 def enumerate_middle(d, f, n: int) -> list[Diagram]:
-    """All middle diagrams, lexicographically ascending."""
-    return [normalize(e) for e in product(*middle_ranges(d, f, n))]
+    """All middle diagrams, lexicographically ascending.  The ranges keep e
+    weakly decreasing (e_{i+1} <= hi_{i+1} <= lo_i <= e_i): only zeros trail."""
+    return [tuple(filter(None, e)) for e in product(*middle_ranges(d, f, n))]
 
 
 def order_type_of(d, f, n: int) -> tuple[str, ...]:

@@ -24,17 +24,14 @@ prime is never more than over Q, so a full one is a proof).
 
 from __future__ import annotations
 
-import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from sympbranch import diagrams
 from sympbranch.lattice import ColumnIndex, elements
-from sympbranch.monomials import (StandardMonomial, build_chains,
-                                  monomial_triple, sample_chain)
-from sympbranch.straighten import quadratic_relation
+from sympbranch.monomials import build_chains, monomial_triple, sample_chain
+from sympbranch.straighten import Monomial, quadratic_relation
 
 
 def _identity_rows(size: int) -> list[list[int]]:
@@ -86,12 +83,6 @@ def exact_rank(rows) -> int:
 
 # --- generator evaluation ----------------------------------------------------
 
-@functools.cache
-def _generators(n: int) -> tuple[ColumnIndex, ...]:
-    """``elements(n)``: the order of ``_minor_sweep``'s output."""
-    return tuple(elements(n))
-
-
 def _minor_sweep(rows, n: int) -> list[int]:
     """All 4n-2 generator minors of integer rows, in ``elements(n)`` order.
 
@@ -123,7 +114,7 @@ def _minor_sweep(rows, n: int) -> list[int]:
 def _minors_one_by_one(rows, n: int) -> list[int]:
     """``_minor_sweep``'s output with one elimination per minor."""
     return [det([[row[j - 1] for j in c.column_set()] for row in rows[:c.size()]])
-            for c in _generators(n)]
+            for c in elements(n)]
 
 
 def delta_table(n: int, X) -> dict[ColumnIndex, Fraction]:
@@ -133,31 +124,10 @@ def delta_table(n: int, X) -> dict[ColumnIndex, Fraction]:
     if len(q) != 2 * n:
         raise ValueError(f"point of size {len(q)} does not match rank {n}")
     return {c: Fraction(v, math.prod([q[j - 1] for j in c.column_set()]))
-            for c, v in zip(_generators(n), _minor_sweep(num, n))}
+            for c, v in zip(elements(n), _minor_sweep(num, n))}
 
 
 # --- exact group elements ----------------------------------------------------
-
-@dataclass(frozen=True)
-class TorusElement:
-    """Diagonal torus data: n entries for the big torus, n-1 for the small."""
-
-    t: tuple[Fraction, ...]
-    s: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        t, s = tuple(map(Fraction, self.t)), tuple(map(Fraction, self.s))
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "s", s)
-        if len(t) < 2 or len(s) != len(t) - 1:
-            raise ValueError("need n >= 2 torus entries and n-1 small ones")
-        if any(v == 0 for v in t + s):
-            raise ValueError("torus entries must be nonzero")
-
-    @property
-    def n(self) -> int:
-        return len(self.t)
-
 
 # A root exponential 1 + sum c E_ij is given by its two (i, j, c) entries,
 # 1-based; when they coincide c counts twice.  No column j is also a column i.
@@ -303,9 +273,10 @@ def _unit_fractions(rng: random.Random, k: int) -> list[Fraction]:
     return [Fraction(rng.choice(_UNITS), rng.randint(1, 3)) for _ in range(k)]
 
 
-def random_torus_element(n: int, seed: int) -> TorusElement:
+def random_torus_element(n: int, seed: int):
+    """Torus data (t, s): n entries for the big torus, n-1 for the small."""
     values = _unit_fractions(random.Random(seed), 2 * n - 1)
-    return TorusElement(tuple(values[:n]), tuple(values[n:]))
+    return tuple(values[:n]), tuple(values[n:])
 
 
 # --- verification ------------------------------------------------------------
@@ -325,23 +296,22 @@ def verify_straightening_identity(X) -> bool:
     return True
 
 
-def _moved_misses(targets, X, moved, character) -> list[StandardMonomial]:
+def _moved_misses(targets, X, moved, character) -> list[Monomial]:
     """The chains among ``targets`` whose value at ``moved`` is not
     character(chain) times their value at X, from one table at each point."""
     n = len(X[1]) // 2
     before, after = delta_table(n, X), delta_table(n, moved)
-    return [m for m in targets if math.prod(after[c] for c in m.columns)
-            != character(m) * math.prod(before[c] for c in m.columns)]
+    return [m for m in targets if math.prod(after[c] for c in m)
+            != character(m) * math.prod(before[c] for c in m)]
 
 
-def verify_invariance(monos, seed: int) -> list[StandardMonomial]:
-    """The chains among ``monos`` (all of one rank n) whose values differ at
+def verify_invariance(monos, n: int, seed: int) -> list[Monomial]:
+    """The chains among ``monos`` (all of rank n) whose values differ at
     u X v and at X, for one seeded point X of Sp(2n), u in its lower unipotent
     and v in the embedded upper unipotent of Sp(2n-2).  Invariance is usually
     stated for u^-1 X v; the lower unipotent group is closed under inversion,
     so u X v is as general a moved point.  An empty list certifies the
     sampled instance."""
-    n = monos[0].n
     rng = random.Random(seed)
     u = random_unipotent(n, "lower", rng.getrandbits(64))
     v = random_unipotent(n, "upper_embedded", rng.getrandbits(64))
@@ -349,22 +319,27 @@ def verify_invariance(monos, seed: int) -> list[StandardMonomial]:
     return _moved_misses(monos, X, _product(_product(u, X), v), lambda m: 1)
 
 
-def verify_torus_weight(monos, t: TorusElement, X) -> list[StandardMonomial]:
+def verify_torus_weight(monos, t, s, X) -> list[Monomial]:
     """The chains among ``monos`` that do not scale by their shape character
-    under the two torus actions at the point X; an empty list certifies the
-    instance."""
-    if any(m.n != t.n for m in monos):
-        raise ValueError(f"rank mismatch: torus rank {t.n}")
+    under the torus actions of t (n entries) and s (n-1 entries) at the point
+    X; an empty list certifies the instance."""
+    t, s = tuple(map(Fraction, t)), tuple(map(Fraction, s))
+    if len(t) < 2 or len(s) != len(t) - 1:
+        raise ValueError("need n >= 2 torus entries and n-1 small ones")
+    if any(v == 0 for v in t + s):
+        raise ValueError("torus entries must be nonzero")
+    if len(X[1]) != 2 * len(t):
+        raise ValueError(f"rank mismatch: torus rank {len(t)}")
 
     def character(m):
-        d, _, f = monomial_triple(m.columns)
+        d, _, f = monomial_triple(m)
         return (math.prod(tv ** -diagrams.part(f, i)
-                          for i, tv in enumerate(t.t, start=1))
+                          for i, tv in enumerate(t, start=1))
                 * math.prod(sv ** diagrams.part(d, k)
-                            for k, sv in enumerate(t.s, start=1)))
+                            for k, sv in enumerate(s, start=1)))
 
-    moved = _scaled(X, t.t + tuple(1 / v for v in reversed(t.t)),
-                    t.s + (1, 1) + tuple(1 / v for v in reversed(t.s)))
+    moved = _scaled(X, t + tuple(1 / v for v in reversed(t)),
+                    s + (1, 1) + tuple(1 / v for v in reversed(s)))
     return _moved_misses(monos, X, moved, character)
 
 
@@ -380,14 +355,14 @@ def verify_generator_weight(tdiag, sdiag, X) -> list[ColumnIndex]:
         raise ValueError("diagonal entries must be nonzero")
 
     def character(m):
-        cset = m.columns[0].column_set()
+        cset = m[0].column_set()
         return (math.prod(sdiag[j - 1] for j in cset)
                 / math.prod(tdiag[:len(cset)]))
 
     n = size // 2
-    gens = [StandardMonomial((c,), n) for c in elements(n)]
+    gens = [(c,) for c in elements(n)]
     misses = _moved_misses(gens, X, _scaled(X, tdiag, sdiag), character)
-    return [m.columns[0] for m in misses]
+    return [m[0] for m in misses]
 
 
 def _weight_blocks(d, f, n: int):
@@ -452,8 +427,8 @@ def independence_certificate(d, f, n: int, seed: int = 0, trials: int = 3) -> di
     """
     d, f = diagrams.normalize(d), diagrams.normalize(f)
     monos, blocks = _weight_blocks(d, f, n)
-    slot = {c: k for k, c in enumerate(_generators(n))}
-    chains = [[slot[c] for c in m.columns] for m in monos]
+    slot = {c: k for k, c in enumerate(elements(n))}
+    chains = [[slot[c] for c in m] for m in monos]
     ranks = dict.fromkeys(blocks, 0)
     width = max(map(len, blocks.values()), default=0) + 2
     rng = random.Random(seed)
@@ -498,9 +473,9 @@ def relations_suite(n: int, seed: int, trials: int) -> dict:
             "trials": trials, "failures": failures}
 
 
-def _suite_targets(n: int) -> list[StandardMonomial]:
+def _suite_targets(n: int) -> list[Monomial]:
     """Every generator as a one-column chain, and one chain of all kinds."""
-    return [StandardMonomial((c,), n) for c in elements(n)] + [sample_chain(n)]
+    return [(c,) for c in elements(n)] + [sample_chain(n)]
 
 
 def invariance_suite(n: int, seed: int, trials: int) -> dict:
@@ -509,8 +484,9 @@ def invariance_suite(n: int, seed: int, trials: int) -> dict:
     failures = []
     for _ in range(trials):
         trial_seed = rng.getrandbits(64)
-        failures += [{"seed": trial_seed, "witness": {"monomial": m.tokens()}}
-                     for m in verify_invariance(targets, trial_seed)]
+        failures += [{"seed": trial_seed,
+                      "witness": {"monomial": [c.token() for c in m]}}
+                     for m in verify_invariance(targets, n, trial_seed)]
     return {"op": "invariance", "params": {"n": n, "seed": seed},
             "trials": trials, "failures": failures}
 
@@ -522,14 +498,15 @@ def torus_suite(n: int, seed: int, trials: int) -> dict:
     for _ in range(trials):
         trial_seed = rng.getrandbits(64)
         sub = random.Random(trial_seed)
-        t = random_torus_element(n, sub.getrandbits(64))
+        t, s = random_torus_element(n, sub.getrandbits(64))
         X = random_rational_matrix(n, sub.getrandbits(64))
         diag_rng = random.Random(sub.getrandbits(64))
         tdiag = _unit_fractions(diag_rng, 2 * n)
         sdiag = _unit_fractions(diag_rng, 2 * n)
         failures += [{"seed": trial_seed, "witness": {
-                          "monomial": m.tokens(), "check": "shape-character"}}
-                     for m in verify_torus_weight(targets, t, X)]
+                          "monomial": [c.token() for c in m],
+                          "check": "shape-character"}}
+                     for m in verify_torus_weight(targets, t, s, X)]
         failures += [{"seed": trial_seed, "witness": {
                           "generator": c.token(), "check": "diagonal-weight"}}
                      for c in verify_generator_weight(tdiag, sdiag, X)]

@@ -17,14 +17,15 @@ triple of its entry counts at the thresholds n+1, n, n-1, and a <= b holds
 exactly when a's triple dominates b's componentwise.  The covering chain is
 a test oracle (``covering_pairs`` in ``tests/conftest.py``) for that encoding.
 
-The chain test of ``monomials.is_chain`` rests on one fact, checked by a scan
-of all pairs in the tests: a multiset of elements is a chain exactly when it
-holds no I_i together with K_{i-1}, the pair of ``straighten.quadratic_relation``.
+A multiset of elements is a chain exactly when it holds no I_i together with
+K_{i-1}, the pair of ``straighten.quadratic_relation``; the tests check this by
+a scan of all pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 KINDS = ("I", "J", "Jp", "K")
 
@@ -132,10 +133,11 @@ def join(a: ColumnIndex, b: ColumnIndex) -> ColumnIndex:
     return from_ones(triple, a.n)
 
 
-def elements(n: int) -> list[ColumnIndex]:
+@cache
+def elements(n: int) -> tuple[ColumnIndex, ...]:
     """All 4n-2 lattice elements at rank n, bottom (J_{n-1}) to top (J'_0)."""
     cols = [ColumnIndex("I", i, n) for i in range(1, n)]
     cols += [ColumnIndex("J", j, n) for j in range(n)]
     cols += [ColumnIndex("Jp", j, n) for j in range(n)]
     cols += [ColumnIndex("K", k, n) for k in range(n - 1)]
-    return sorted(cols, key=ColumnIndex.sort_key)
+    return tuple(sorted(cols, key=ColumnIndex.sort_key))

@@ -1,84 +1,49 @@
 """Standard monomials: multichains in the lattice and their tableau avatars.
-A chain of shape F/D is rest(D, F), its I and K columns, times
-J_{i-1}^(e_i - lo_i) J'_{i-1}^(hi_i - e_i) over the middle ranges.  Its
-tableau is the Gelfand-Tsetlin pattern (F, E, D) read row by row: row k
-holds d_k entries k, then e_k - d_k entries n, then f_k - e_k entries n+1
-(d_n = 0, so row n holds only n and n+1).  ``chain_factors`` computes those
-runs once per pair, in ``ColumnIndex.sort_key`` order: ``build_chains`` expands
-them into chains that skip the constructor's sort and check, the CLI into text."""
+A standard monomial is a ``straighten.Monomial`` with no incomparable pair;
+``standard_monomial`` is its one validator.  A chain of shape F/D is
+rest(D, F), its I and K columns, times J_{i-1}^(e_i - lo_i)
+J'_{i-1}^(hi_i - e_i) over the middle ranges.  Its tableau is the
+Gelfand-Tsetlin pattern (F, E, D) read row by row: row k holds d_k entries
+k, then e_k - d_k entries n, then f_k - e_k entries n+1 (d_n = 0, so row n
+holds only n and n+1).  ``chain_factors`` computes those runs once per pair,
+already in ``ColumnIndex.sort_key`` order: ``build_chains`` expands them into
+chains with no sort and no check, the CLI into text."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import count
 
 from sympbranch import diagrams
 from sympbranch.diagrams import Diagram, transpose
 from sympbranch.lattice import ColumnIndex
-
-
-@dataclass(frozen=True)
-class StandardMonomial:
-    """A multichain of column indices, stored in canonical ascending order."""
-
-    columns: tuple[ColumnIndex, ...]
-    n: int
-
-    def __post_init__(self):
-        cols = tuple(sorted(self.columns, key=ColumnIndex.sort_key))
-        object.__setattr__(self, "columns", cols)
-        for c in cols:
-            if c.n != self.n:
-                raise ValueError(f"column {c!r} has rank {c.n}, expected {self.n}")
-        if not is_chain(cols):
-            raise ValueError(f"{self} holds some I_i with K_(i-1): not a chain")
-
-    @classmethod
-    def _in_order(cls, cols: tuple[ColumnIndex, ...], n: int) -> "StandardMonomial":
-        """A chain from columns already in ``sort_key`` order, unchecked."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "columns", cols)
-        object.__setattr__(m, "n", n)
-        return m
-
-    def tokens(self) -> list[str]:
-        return [c.token() for c in self.columns]
-
-    def __str__(self):
-        return "[" + ",".join(self.tokens()) + "]"
-
-    def __repr__(self):
-        return f"StandardMonomial({self}, n={self.n})"
-
-
-@dataclass(frozen=True)
-class Tableau:
-    """Left-justified rows of positive integers."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows",
-                           tuple(tuple(row) for row in self.rows if len(row)))
-
-    def __str__(self):
-        return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
+from sympbranch.straighten import (Monomial, _monomial_str, _split_pairs,
+                                   canonical_monomial)
 
 
 def is_chain(cols) -> bool:
     """Whether the column indices are pairwise comparable, that is, whether
-    no I_i occurs together with K_{i-1}: those are the only incomparable pairs."""
-    present = {(c.kind, c.idx) for c in cols}
-    return not any(kind == "I" and ("K", i - 1) in present
-                   for kind, i in present)
+    they hold no incomparable pair of ``straighten.quadratic_relation``."""
+    return not _split_pairs(cols)[1]
 
 
-def tableau_of_triple(d: Diagram, e: Diagram, f: Diagram, n: int) -> Tableau:
-    """The tableau of the chain with base d, middle diagram e and shape f."""
+def standard_monomial(cols) -> Monomial:
+    """The columns as a standard monomial: ``canonical_monomial``'s sort and
+    rank check, then the chain check."""
+    cols = canonical_monomial(cols)
+    if not is_chain(cols):
+        raise ValueError(f"{_monomial_str(cols)} holds some I_i with K_(i-1): "
+                         "not a chain")
+    return cols
+
+
+def tableau_of_triple(d: Diagram, e: Diagram, f: Diagram,
+                      n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of the tableau of the chain with base d, middle diagram e and
+    shape f: one nonempty row per part of f."""
     pad = (0,) * len(f)
-    return Tableau(tuple((k,) * dk + (n,) * (ek - dk) + (n + 1,) * (fk - ek)
-                         for k, fk, ek, dk in zip(count(1), f, e + pad, d + pad)))
+    return tuple((k,) * dk + (n,) * (ek - dk) + (n + 1,) * (fk - ek)
+                 for k, fk, ek, dk in zip(count(1), f, e + pad, d + pad))
 
 
 def monomial_triple(cols) -> tuple[Diagram, Diagram, Diagram]:
@@ -118,7 +83,7 @@ def chain_factors(d, f, n: int) -> list[tuple]:
             for i, r in reversed(list(enumerate(ranges)))]
 
 
-def build_chains(d, f, n: int, middles) -> list[StandardMonomial]:
+def build_chains(d, f, n: int, middles) -> list[Monomial]:
     """Chains of shape f/d for these middles, [] at multiplicity 0, expanded
     from ``chain_factors``."""
     factors = chain_factors(d, f, n)
@@ -131,11 +96,11 @@ def build_chains(d, f, n: int, middles) -> list[StandardMonomial]:
         cols = []
         for i, lo, hi, j, jp, tail in factors:
             cols += [j] * (e[i] - lo) + [jp] * (hi - e[i]) + tail
-        out.append(StandardMonomial._in_order(tuple(cols), n))
+        out.append(tuple(cols))
     return out
 
 
-def sample_chain(n: int) -> StandardMonomial:
+def sample_chain(n: int) -> Monomial:
     """A representative chain touching all four generator kinds."""
     cols = [ColumnIndex("J", n - 1, n), ColumnIndex("K", n - 2, n),
             ColumnIndex("Jp", n - 2, n)]
@@ -143,4 +108,4 @@ def sample_chain(n: int) -> StandardMonomial:
     for j in range(n - 3, -1, -1):
         cols.append(ColumnIndex(kind, j, n))
         kind = "Jp" if kind == "J" else "J"
-    return StandardMonomial(tuple(cols), n)
+    return standard_monomial(cols)

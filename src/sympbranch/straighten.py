@@ -81,9 +81,6 @@ class FormalPolynomial:
     def terms(self):
         return MappingProxyType(self._terms)
 
-    def coeff(self, cols) -> Fraction:
-        return self._terms.get(canonical_monomial(cols), Fraction(0))
-
     def __bool__(self):
         return bool(self._terms)
 

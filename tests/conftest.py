@@ -18,7 +18,7 @@ from sympbranch.diagrams import (EQ, GE, LE, enumerate_middle, middle_ranges,
                                  tl_weights, transpose)
 from sympbranch.hibi import pattern_rows
 from sympbranch.lattice import ColumnIndex, elements, from_ones, leq, parse_column
-from sympbranch.monomials import StandardMonomial, build_chains, tableau_of_triple
+from sympbranch.monomials import build_chains, standard_monomial, tableau_of_triple
 from sympbranch.straighten import FormalPolynomial, canonical_monomial
 
 # Property tests keep no example database and have no deadline; each test
@@ -114,10 +114,15 @@ def margin_tl_weight(d, e, f, n):
     return tuple(2 * part(e, i + 1) - ms[2 * i] - ms[2 * i + 1] for i in range(n))
 
 
+def tokens(mono):
+    """The column tokens of a monomial, as the CLI prints them."""
+    return [c.token() for c in mono]
+
+
 def natural_sl2_weight(m):
     """Diagonal torus weight of a chain: J columns count +1, J' columns -1."""
-    return (sum(1 for c in m.columns if c.kind == "J")
-            - sum(1 for c in m.columns if c.kind == "Jp"))
+    return (sum(1 for c in m if c.kind == "J")
+            - sum(1 for c in m if c.kind == "Jp"))
 
 
 def display_key(mono):
@@ -136,11 +141,11 @@ def display_key(mono):
     return (weight, len(mono), triples)
 
 
-def chain_order_type(m):
+def chain_order_type(m, n):
     """Position i reads GE if I_i occurs, LE if K_{i-1} occurs, EQ otherwise."""
-    present = {(c.kind, c.idx) for c in m.columns}
+    present = {(c.kind, c.idx) for c in m}
     word = []
-    for i in range(1, m.n):
+    for i in range(1, n):
         if ("I", i) in present:
             word.append(GE)
         elif ("K", i - 1) in present:
@@ -161,7 +166,7 @@ def standard_oracle(d, f, n):
         et = transpose(e)
         cols = tuple(from_ones((part(ft, c), part(et, c), part(dt, c)), n)
                      for c in range(1, part(f, 1) + 1))
-        chains.append(StandardMonomial(cols, n))
+        chains.append(standard_monomial(cols))
     return chains
 
 
@@ -197,13 +202,13 @@ def oracle_payload(command, d, f, n):
         word = order_type_str(order_type_of(d, f, n))
         weights = tl_weights(middle_ranges(d, f, n), middles)
         payload["monomials"] = [
-            {"monomial": m.tokens(), "E": e, "order_type": word, "tl_weight": w,
-             "tableau": tableau_of_triple(d, e, f, n).rows}
+            {"monomial": tokens(m), "E": e, "order_type": word, "tl_weight": w,
+             "tableau": tableau_of_triple(d, e, f, n)}
             for m, e, w in zip(chains, middles, weights)]
         return payload
     payload["margin_count"] = len(middles)
     payload["patterns"] = [dict(zip(("monomial", "top", "mid", "bot"),
-                                    (m.tokens(), *pattern_rows(d, e, f, n))))
+                                    (tokens(m), *pattern_rows(d, e, f, n))))
                            for m, e in zip(chains, middles)]
     return payload
 
@@ -399,11 +404,11 @@ def covering_pairs(n):
 def chains_up_to(n, max_cols):
     """Every multichain with at most max_cols columns at rank n."""
     cols = elements(n)
-    out = [StandardMonomial((), n)]
+    out = [()]
     for k in range(1, max_cols + 1):
         for combo in combinations_with_replacement(cols, k):
             if incomparable_pair_count(combo) == 0:
-                out.append(StandardMonomial(combo, n))
+                out.append(standard_monomial(combo))
     return out
 
 

@@ -41,11 +41,11 @@ from sympbranch.exacteval import (
 from sympbranch.hibi import pattern_rows
 from sympbranch.lattice import ColumnIndex, elements
 from sympbranch.monomials import (
-    StandardMonomial,
     build_chains,
     is_chain,
     monomial_triple,
     sample_chain,
+    standard_monomial,
 )
 from sympbranch.straighten import (
     FormalPolynomial,
@@ -75,8 +75,8 @@ def test_criterion_1_worked_chain_reproduction():
     sets = ([1, 2, 3, 4], [1, 2, 4, 5], [1, 2, 5], [1, 4], [5])
 
     def run():
-        m = StandardMonomial(tuple(column_from_set(s, 4) for s in sets), 4)
-        return m, monomial_triple(m.columns)
+        m = standard_monomial(column_from_set(s, 4) for s in sets)
+        return m, monomial_triple(m)
 
     (m, triple), elapsed = best_time(run)
     ok = (triple == ((4, 3, 1), (4, 4, 2, 1), (5, 4, 3, 2))
@@ -168,7 +168,7 @@ def test_criterion_6_chains_are_common_order_types():
     ok = True
     for n in (2, 3, 4):
         cols = elements(n)
-        types = [chain_order_type(StandardMonomial((c,), n)) for c in cols]
+        types = [chain_order_type((c,), n) for c in cols]
         sigmas = list(product((GE, LE), repeat=n - 1))
         # satisfaction bitmask per element, found by brute enumeration
         masks = []
@@ -196,10 +196,10 @@ def test_criterion_7_torus_characters():
     ok = True
     for n in (2, 3, 4):
         rng = random.Random(700 + n)
-        targets = [StandardMonomial((c,), n) for c in elements(n)]
+        targets = [(c,) for c in elements(n)]
         targets.append(sample_chain(n))
         for trial in range(50):
-            t = random_torus_element(n, rng.getrandbits(64))
+            t, s = random_torus_element(n, rng.getrandbits(64))
             X = random_rational_matrix(n, rng.getrandbits(64))
             diag_rng = random.Random(rng.getrandbits(64))
 
@@ -209,7 +209,7 @@ def test_criterion_7_torus_characters():
                         for _ in range(2 * n)]
 
             tdiag, sdiag = diag(), diag()
-            if verify_torus_weight(targets, t, X):
+            if verify_torus_weight(targets, t, s, X):
                 ok = False
             if verify_generator_weight(tdiag, sdiag, X):
                 ok = False
@@ -234,16 +234,16 @@ def test_criterion_8_degeneration_filtration():
     hom_ok = True
     pairs = 0
     for n in (2, 3, 4):
-        chains = [StandardMonomial(c, n)
+        chains = [standard_monomial(c)
                   for k in (0, 1, 2, 3)
                   for c in combinations_with_replacement(elements(n), k)
                   if is_chain(c)]
-        triples = [monomial_triple(m.columns) for m in chains]
+        triples = [monomial_triple(m) for m in chains]
         for i, m1 in enumerate(chains):
             for j in range(i, len(chains)):
                 pairs += 1
                 product = hibi_normal_form(
-                    FormalPolynomial.monomial(m1.columns + chains[j].columns))
+                    FormalPolynomial.monomial(m1 + chains[j]))
                 (mono, coeff), = product.terms.items()
                 if (coeff != 1 or monomial_triple(mono)
                         != add_rows(triples[i], triples[j])):

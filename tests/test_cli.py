@@ -17,7 +17,16 @@ from conftest import assemble_rows, diagram_pairs, margin_tl_weight, oracle_payl
 from sympbranch import cli, diagrams, hibi, monomials
 from sympbranch.cli import main
 from sympbranch.lattice import parse_column
-from sympbranch.monomials import StandardMonomial
+
+
+def test_public_names_resolve():
+    assert sorted(sympbranch.__all__) == [
+        "ColumnIndex", "FormalPolynomial", "diagrams", "exacteval", "hibi",
+        "lattice", "monomials", "straighten"]
+    assert all(hasattr(sympbranch, name) for name in sympbranch.__all__)
+    namespace = {}
+    exec("from sympbranch import *", namespace)
+    assert set(sympbranch.__all__) <= set(namespace)
 
 
 def run(capsys, *argv):
@@ -222,14 +231,14 @@ def _count_calls(monkeypatch, module, name, calls):
 
 def test_basis_json_reads_the_pair_once(capsys, monkeypatch):
     # one enumeration and one set of chain runs; no chain is built as columns
-    calls = {"__post_init__": 0, "build_chains": 0}
+    calls = {"standard_monomial": 0, "build_chains": 0}
     _count_calls(monkeypatch, diagrams, "enumerate_middle", calls)
-    _count_calls(monkeypatch, StandardMonomial, "__post_init__", calls)
+    _count_calls(monkeypatch, monomials, "standard_monomial", calls)
     _count_calls(monkeypatch, monomials, "build_chains", calls)
     _count_calls(monkeypatch, monomials, "chain_factors", calls)
     code, out, _ = run(capsys, "basis", "4,3,1", "5,4,3,2", "--n", "4", "--json")
     assert code == 0 and json.loads(out)["count"] == 16
-    assert calls == {"__post_init__": 0, "build_chains": 0,
+    assert calls == {"standard_monomial": 0, "build_chains": 0,
                      "enumerate_middle": 1, "chain_factors": 1}
 
 

@@ -109,6 +109,14 @@ def test_enumerate_middle_contains_worked_value():
     assert enumerate_middle((1,), (1, 1), 2) == [(1,), (1, 1)]
 
 
+@settings(max_examples=300)
+@given(diagram_pairs(7, 6))
+def test_enumerate_middle_matches_normalized_product(pair):
+    d, f, n = pair
+    assert enumerate_middle(d, f, n) == \
+        [normalize(e) for e in product(*middle_ranges(d, f, n))]
+
+
 def test_length_validation():
     with pytest.raises(ValueError):
         multiplicity((1, 1), (1,), 2)  # D needs at most n-1 rows

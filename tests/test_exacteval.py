@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from conftest import (ExactMatrix, all_diagrams, delta, dense_diagonal,
                       eval_monomial, eval_poly, identity, is_symplectic,
                       leibniz_det, matrix_point, natural_sl2_weight,
-                      point_matrix, symplectic_form, unit_plus)
+                      point_matrix, symplectic_form, tokens, unit_plus)
 from sympbranch import exacteval
 from sympbranch.diagrams import multiplicity
 from sympbranch.exacteval import (
-    TorusElement,
     _diag_root,
     _identity_rows,
     _lower_root,
@@ -42,7 +41,7 @@ from sympbranch.exacteval import (
 )
 from sympbranch.lattice import ColumnIndex, elements
 from sympbranch.diagrams import enumerate_middle
-from sympbranch.monomials import StandardMonomial, build_chains, sample_chain
+from sympbranch.monomials import build_chains, sample_chain
 from sympbranch.straighten import FormalPolynomial
 
 
@@ -245,10 +244,10 @@ def test_eval_monomial_and_poly():
     X = point_matrix(*point)
     assert eval_monomial((), X) == 1
     chain = sample_chain(n)
-    assert eval_monomial(chain.columns, identity(2 * n)) == 0
-    p = FormalPolynomial.monomial(chain.columns, 2) + \
+    assert eval_monomial(chain, identity(2 * n)) == 0
+    p = FormalPolynomial.monomial(chain, 2) + \
         FormalPolynomial.monomial((), Fraction(1, 3))
-    assert eval_poly(p, X) == 2 * eval_monomial(chain.columns, X) + Fraction(1, 3)
+    assert eval_poly(p, X) == 2 * eval_monomial(chain, X) + Fraction(1, 3)
     table = delta_table(n, point)
     assert all(table[c] == delta(c, X) for c in elements(n))
 
@@ -368,10 +367,10 @@ def _invariance_point(n, seed):
 def _torus_point(n, seed):
     """The moved point of ``verify_torus_weight`` for the torus element of
     ``seed`` at the rational point of ``seed + 1``."""
-    t = random_torus_element(n, seed)
+    t, s = random_torus_element(n, seed)
     return _scaled(random_rational_matrix(n, seed + 1),
-                   t.t + tuple(1 / v for v in reversed(t.t)),
-                   t.s + (1, 1) + tuple(1 / v for v in reversed(t.s)))
+                   t + tuple(1 / v for v in reversed(t)),
+                   s + (1, 1) + tuple(1 / v for v in reversed(s)))
 
 
 _SAMPLERS = {
@@ -457,9 +456,9 @@ def test_straightening_identity_everywhere():
 
 def test_invariance_of_generators_and_chain():
     n = 3
-    targets = [StandardMonomial((c,), n) for c in elements(n)] + [sample_chain(n)]
+    targets = [(c,) for c in elements(n)] + [sample_chain(n)]
     for seed in range(12):
-        assert verify_invariance(targets, seed) == []
+        assert verify_invariance(targets, n, seed) == []
 
 
 def test_invariance_suite_reports_moved_chains(monkeypatch):
@@ -468,36 +467,34 @@ def test_invariance_suite_reports_moved_chains(monkeypatch):
     monkeypatch.setattr(exacteval, "random_unipotent",
                         lambda n, which, seed: random_symplectic(n, seed))
     n = 3
-    targets = [StandardMonomial((c,), n) for c in elements(n)] + [sample_chain(n)]
+    targets = [(c,) for c in elements(n)] + [sample_chain(n)]
     report = invariance_suite(n, 0, 2)
     assert report["failures"]
     for failure in report["failures"]:
-        moved = verify_invariance(targets, failure["seed"])
-        assert failure["witness"]["monomial"] in [m.tokens() for m in moved]
+        moved = verify_invariance(targets, n, failure["seed"])
+        assert failure["witness"]["monomial"] in [tokens(m) for m in moved]
 
 
 def test_torus_weight_examples():
     n = 3
-    t = TorusElement((Fraction(2), Fraction(3), Fraction(5)),
-                     (Fraction(1, 2), Fraction(7)))
+    t, s = (Fraction(2), Fraction(3), Fraction(5)), (Fraction(1, 2), Fraction(7))
     point = random_rational_matrix(n, 21)
     X = point_matrix(*point)
-    m = StandardMonomial((ColumnIndex("I", 1, n),), n)
+    m = (ColumnIndex("I", 1, n),)
     # shape is F = (1), D = (1): character 2^{-1} * (1/2)^{1}
     left = [2, 3, 5, Fraction(1, 5), Fraction(1, 3), Fraction(1, 2)]
     right = [Fraction(1, 2), 7, 1, 1, Fraction(1, 7), 2]
     moved = dense_diagonal([1 / Fraction(v) for v in left]) @ X @ \
         dense_diagonal(right)
-    assert eval_monomial(m.columns, moved) == \
-        Fraction(1, 4) * eval_monomial(m.columns, X)
-    assert verify_torus_weight([m], t, point) == []
-    targets = [StandardMonomial((c,), n) for c in elements(n)] + [sample_chain(n)]
+    assert eval_monomial(m, moved) == Fraction(1, 4) * eval_monomial(m, X)
+    assert verify_torus_weight([m], t, s, point) == []
+    targets = [(c,) for c in elements(n)] + [sample_chain(n)]
     for seed in range(10):
-        tt = random_torus_element(n, seed)
+        tt, ss = random_torus_element(n, seed)
         XX = random_rational_matrix(n, seed + 100)
-        assert verify_torus_weight(targets, tt, XX) == []
-    with pytest.raises(ValueError):
-        verify_torus_weight([m], random_torus_element(2, 0), point)
+        assert verify_torus_weight(targets, tt, ss, XX) == []
+    with pytest.raises(ValueError, match="rank mismatch"):
+        verify_torus_weight([m], *random_torus_element(2, 0), point)
 
 
 def test_torus_checks_list_exactly_the_moved_targets(monkeypatch):
@@ -509,13 +506,13 @@ def test_torus_checks_list_exactly_the_moved_targets(monkeypatch):
         {"shape-character", "diagonal-weight"}
     n = 2
     X = random_rational_matrix(n, 3)
-    targets = [StandardMonomial((c,), n) for c in elements(n)] + [sample_chain(n)]
-    assert all(eval_monomial(m.columns, point_matrix(*X)) for m in targets)
-    chain = sample_chain(n).tokens()
+    targets = [(c,) for c in elements(n)] + [sample_chain(n)]
+    assert all(eval_monomial(m, point_matrix(*X)) for m in targets)
+    chain = tokens(sample_chain(n))
     # t^-F * s^D: (1, 3) weighs columns with two entries, s = 5 the entry 1
-    for t, missed in ((TorusElement((1, 3), (1,)), [["J1"], ["J'1"], ["K0"], chain]),
-                      (TorusElement((1, 1), (5,)), [["J1"], ["J'1"], ["I1"], chain])):
-        assert [m.tokens() for m in verify_torus_weight(targets, t, X)] == missed
+    for t, s, missed in (((1, 3), (1,), [["J1"], ["J'1"], ["K0"], chain]),
+                         ((1, 1), (5,), [["J1"], ["J'1"], ["I1"], chain])):
+        assert [tokens(m) for m in verify_torus_weight(targets, t, s, X)] == missed
     ones = [1] * (2 * n)
     # sdiag weighs generators holding column 2, tdiag those of depth two
     assert [c.token() for c in verify_generator_weight(ones, [1, 2, 1, 1], X)] == \
@@ -537,13 +534,21 @@ def test_torus_suite_moves_each_point_once(monkeypatch):
 
 
 def test_torus_element_validation():
-    with pytest.raises(ValueError):
-        TorusElement((1, 0), (1,))
-    with pytest.raises(ValueError):
-        TorusElement((1, 2, 3), (1,))
-    t = TorusElement((2, 3), (5,))
-    assert t.t == (2, 3) and t.s == (5,) and t.n == 2
-    assert all(isinstance(v, Fraction) for v in t.t + t.s)
+    m = (ColumnIndex("I", 1, 2),)
+    X = random_rational_matrix(2, 0)
+    with pytest.raises(ValueError, match="nonzero"):
+        verify_torus_weight([m], (1, 0), (1,), X)
+    with pytest.raises(ValueError, match="nonzero"):
+        verify_torus_weight([m], (1, 2), (0,), X)
+    with pytest.raises(ValueError, match="n-1 small"):
+        verify_torus_weight([m], (1, 2, 3), (1,), X)
+    with pytest.raises(ValueError, match="n-1 small"):
+        verify_torus_weight([m], (2,), (), X)
+    assert verify_torus_weight([m], (2, 3), (5,), X) == []
+    for n in (2, 3, 4):
+        t, s = random_torus_element(n, n)
+        assert (len(t), len(s)) == (n, n - 1)
+        assert all(isinstance(v, Fraction) and v for v in t + s)
 
 
 def test_generator_weights_for_full_diagonals():
@@ -594,9 +599,9 @@ def test_chains_scale_by_their_natural_weight():
             monos = build_chains(d, f, n, enumerate_middle(d, f, n))
             assert len({natural_sl2_weight(m) for m in monos}) > 1
             for m in monos:
-                assert eval_monomial(m.columns, moved) == \
+                assert eval_monomial(m, moved) == \
                     s ** natural_sl2_weight(m) * \
-                    eval_monomial(m.columns, point_matrix(*X))
+                    eval_monomial(m, point_matrix(*X))
 
 
 def _without_column(n, seed, rows):
@@ -625,7 +630,7 @@ def test_certificate_blocks_hold_the_chains_of_their_weight(monkeypatch):
                     w = natural_sl2_weight(m)
                     block = expected.setdefault(w, [w, 0, 0])
                     block[1] += 1
-                    block[2] += all(c.kind in ("I", "J") for c in m.columns)
+                    block[2] += all(c.kind in ("I", "J") for c in m)
                 blocks = independence_certificate(d, f, n, seed=5)["blocks"]
                 assert blocks == sorted(expected.values()), (d, f, n)
                 asymmetric += blocks != sorted([-w, s, r] for w, s, r in blocks)
@@ -692,14 +697,13 @@ def test_blocks_share_one_scale_per_point():
     # block, so a block ranks as integers.  Blocks that mixed weights would
     # mix scales.  The rational values come from Leibniz minors of the dense
     # matrix.
-    gens = exacteval._generators
     for n in (2, 3, 4):
         points = []
         for seed in range(2):
             num, q = random_symplectic(n, 100 * n + seed)
             dense = point_matrix(num, q)
-            points.append(({c: delta(c, dense) for c in gens(n)},
-                           dict(zip(gens(n), exacteval._minor_sweep(num, n)))))
+            points.append(({c: delta(c, dense) for c in elements(n)},
+                           dict(zip(elements(n), exacteval._minor_sweep(num, n)))))
         for d in all_diagrams(3, n - 1):
             for f in all_diagrams(3, n):
                 if not multiplicity(d, f, n):
@@ -709,10 +713,9 @@ def test_blocks_share_one_scale_per_point():
                     for cols in blocks.values():
                         scales = set()
                         for k in cols:
-                            columns = monos[k].columns
-                            whole = math.prod(ints[c] for c in columns)
+                            whole = math.prod(ints[c] for c in monos[k])
                             assert whole, (d, f, n, seed)
-                            scales.add(math.prod(table[c] for c in columns)
+                            scales.add(math.prod(table[c] for c in monos[k])
                                        / whole)
                         assert len(scales) == 1, (d, f, n, seed)
 

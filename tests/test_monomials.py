@@ -12,6 +12,7 @@ from conftest import (
     is_semistandard,
     natural_sl2_weight,
     standard_oracle,
+    tokens,
     triple_oracle,
 )
 from sympbranch import monomials
@@ -29,11 +30,11 @@ from sympbranch.diagrams import (
 )
 from sympbranch.lattice import ColumnIndex, elements
 from sympbranch.monomials import (
-    StandardMonomial,
     build_chains,
     is_chain,
     monomial_triple,
     sample_chain,
+    standard_monomial,
     tableau_of_triple,
 )
 
@@ -42,8 +43,8 @@ def columns_of(sets, n):
     return tuple(column_from_set(s, n) for s in sets)
 
 
-def tableau(m):
-    return tableau_of_triple(*monomial_triple(m.columns), m.n)
+def tableau(m, n):
+    return tableau_of_triple(*monomial_triple(m), n)
 
 
 def basis(d, f, n):
@@ -55,11 +56,11 @@ WORKED_CHAIN_SETS = ([1, 2, 3, 4], [1, 2, 4, 5], [1, 2, 5], [1, 4], [5])
 
 @pytest.fixture
 def worked_chain():
-    return StandardMonomial(columns_of(WORKED_CHAIN_SETS, 4), 4)
+    return standard_monomial(columns_of(WORKED_CHAIN_SETS, 4))
 
 
 def test_is_chain_examples(worked_chain):
-    assert is_chain(worked_chain.columns)
+    assert is_chain(worked_chain)
     assert not is_chain([ColumnIndex("I", 1, 4), ColumnIndex("K", 0, 4)])
     assert is_chain([ColumnIndex("I", 1, 4)])
     assert is_chain([])
@@ -67,19 +68,23 @@ def test_is_chain_examples(worked_chain):
 
 def test_standard_monomial_validation():
     with pytest.raises(ValueError, match="not a chain"):
-        StandardMonomial((ColumnIndex("I", 1, 4), ColumnIndex("K", 0, 4)), 4)
-    with pytest.raises(ValueError):
-        StandardMonomial((ColumnIndex("I", 1, 3),), 4)
+        standard_monomial((ColumnIndex("I", 1, 4), ColumnIndex("K", 0, 4)))
+    with pytest.raises(ValueError, match="not a chain"):
+        standard_monomial((ColumnIndex("K", 1, 4), ColumnIndex("J", 0, 4),
+                           ColumnIndex("I", 2, 4)))
+    with pytest.raises(ValueError, match="mixed ranks"):
+        standard_monomial((ColumnIndex("I", 1, 3), ColumnIndex("J", 0, 4)))
+    assert standard_monomial(()) == ()
 
 
 def test_canonical_order(worked_chain):
-    assert worked_chain.tokens() == ["J3", "K2", "J'2", "J1", "J'0"]
-    shuffled = StandardMonomial(tuple(reversed(worked_chain.columns)), 4)
+    assert tokens(worked_chain) == ["J3", "K2", "J'2", "J1", "J'0"]
+    shuffled = standard_monomial(reversed(worked_chain))
     assert shuffled == worked_chain
 
 
 def test_shape_examples(worked_chain):
-    d, _, f = monomial_triple(worked_chain.columns)
+    d, _, f = monomial_triple(worked_chain)
     assert (d, f) == ((4, 3, 1), (5, 4, 3, 2))
     assert monomial_triple(()) == ((), (), ())
     small = columns_of(([1, 2, 4, 5], [1, 2, 5], [1, 4]), 4)
@@ -88,16 +93,17 @@ def test_shape_examples(worked_chain):
 
 
 def test_tableau_examples(worked_chain):
-    assert tableau(worked_chain).rows == (
+    assert tableau(worked_chain, 4) == (
         (1, 1, 1, 1, 5), (2, 2, 2, 4), (3, 4, 5), (4, 5))
-    small = StandardMonomial(columns_of(([1, 2, 4, 5], [1, 2, 5], [1, 4]), 4), 4)
-    assert tableau(small).rows == ((1, 1, 1), (2, 2, 4), (4, 5), (5,))
-    single = StandardMonomial((column_from_set([1, 2], 3),), 3)
-    assert tableau(single).rows == ((1,), (2,))
+    small = standard_monomial(columns_of(([1, 2, 4, 5], [1, 2, 5], [1, 4]), 4))
+    assert tableau(small, 4) == ((1, 1, 1), (2, 2, 4), (4, 5), (5,))
+    single = standard_monomial((column_from_set([1, 2], 3),))
+    assert tableau(single, 3) == ((1,), (2,))
+    assert tableau((), 3) == ()
 
 
 def test_middle_diagram_examples(worked_chain):
-    assert monomial_triple(worked_chain.columns)[1] == (4, 4, 2, 1)
+    assert monomial_triple(worked_chain)[1] == (4, 4, 2, 1)
     small = columns_of(([1, 2, 4, 5], [1, 2, 5], [1, 4]), 4)
     assert monomial_triple(small)[1] == (3, 3, 1)
 
@@ -105,7 +111,7 @@ def test_middle_diagram_examples(worked_chain):
 def test_from_triple_worked_example(worked_chain):
     assert build_chains((4, 3, 1), (5, 4, 3, 2), 4, [(4, 4, 2, 1)]) == \
         [worked_chain]
-    assert build_chains((), (), 4, [()]) == [StandardMonomial((), 4)]
+    assert build_chains((), (), 4, [()]) == [()]
     assert build_chains((3,), (1, 1), 2, [(1,)]) == []  # multiplicity 0
 
 
@@ -113,7 +119,7 @@ def test_round_trip_on_all_small_chains():
     for n in (2, 3, 4):
         seen = {}
         for m in chains_up_to(n, 4 if n < 4 else 3):
-            key = d, e, f = monomial_triple(m.columns)
+            key = d, e, f = monomial_triple(m)
             assert build_chains(d, f, n, [e]) == [m]
             assert key not in seen, f"{m} and {seen[key]} collide"
             seen[key] = m
@@ -122,8 +128,7 @@ def test_round_trip_on_all_small_chains():
 def test_tableau_of_triple_matches_the_column_oracle():
     for n in (2, 3, 4):
         for m in chains_up_to(n, 4 if n < 4 else 3):
-            tableau = tableau_of_triple(*monomial_triple(m.columns), n)
-            assert tableau.rows == assemble_rows(m.columns)
+            assert tableau(m, n) == assemble_rows(m)
 
 
 def test_semistandard_iff_chain():
@@ -138,9 +143,9 @@ def test_enumerate_standard_counts():
     chains = basis((4, 3, 1), (5, 4, 3, 2), 4)
     assert len(chains) == 16 == multiplicity((4, 3, 1), (5, 4, 3, 2), 4)
     for m in chains:
-        d, _, f = monomial_triple(m.columns)
+        d, _, f = monomial_triple(m)
         assert (d, f) == ((4, 3, 1), (5, 4, 3, 2))
-    assert basis((), (), 3) == [StandardMonomial((), 3)]
+    assert basis((), (), 3) == [()]
 
 
 @settings(max_examples=300)
@@ -154,7 +159,7 @@ def test_enumerate_standard_matches_column_oracle(pair):
 
 
 def test_enumerate_standard_reads_the_pair_once(monkeypatch):
-    calls = {"__post_init__": 0, "transpose": 0}
+    calls = {"standard_monomial": 0, "transpose": 0}
 
     def counted(owner, name):
         real = getattr(owner, name)
@@ -164,10 +169,10 @@ def test_enumerate_standard_reads_the_pair_once(monkeypatch):
             return real(*args)
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(StandardMonomial, "__post_init__")
+    counted(monomials, "standard_monomial")
     counted(monomials, "transpose")
     assert len(basis((4, 3, 1), (5, 4, 3, 2), 4)) == 16
-    assert calls == {"__post_init__": 0, "transpose": 2}
+    assert calls == {"standard_monomial": 0, "transpose": 2}
 
 
 @settings(max_examples=200)
@@ -175,43 +180,42 @@ def test_enumerate_standard_reads_the_pair_once(monkeypatch):
 def test_chains_are_built_in_canonical_order(pair, rng):
     d, f, n = pair
     for m in basis(d, f, n):
-        cols = list(m.columns)
+        cols = list(m)
         rng.shuffle(cols)
-        rebuilt = StandardMonomial(tuple(cols), n)
-        assert rebuilt == m and rebuilt.columns == m.columns
+        assert standard_monomial(cols) == m
 
 
 def test_chain_order_type_examples():
     n = 4
-    only_i2 = StandardMonomial((ColumnIndex("I", 2, n),), n)
-    assert chain_order_type(only_i2) == (EQ, GE, EQ)
-    js = StandardMonomial(columns_of(([1, 4], [5]), n), n)
-    assert chain_order_type(js) == (EQ, EQ, EQ)
-    k0 = StandardMonomial((ColumnIndex("K", 0, n),), n)
-    assert chain_order_type(k0) == (LE, EQ, EQ)
+    only_i2 = (ColumnIndex("I", 2, n),)
+    assert chain_order_type(only_i2, n) == (EQ, GE, EQ)
+    js = standard_monomial(columns_of(([1, 4], [5]), n))
+    assert chain_order_type(js, n) == (EQ, EQ, EQ)
+    k0 = (ColumnIndex("K", 0, n),)
+    assert chain_order_type(k0, n) == (LE, EQ, EQ)
 
 
 def test_chain_type_matches_shape_type(chains_by_rank):
     # the shape comparison d_i vs f_{i+1} counts I_i minus K_{i-1} occurrences
     for n, chains in chains_by_rank.items():
         for m in chains:
-            d, _, f = monomial_triple(m.columns)
-            assert order_type_of(d, f, n) == chain_order_type(m)
+            d, _, f = monomial_triple(m)
+            assert order_type_of(d, f, n) == chain_order_type(m, n)
 
 
 def test_natural_weight_examples(worked_chain):
     assert natural_sl2_weight(worked_chain) == 0
     n = 4
-    assert natural_sl2_weight(StandardMonomial((ColumnIndex("J", 0, n),), n)) == 1
-    assert natural_sl2_weight(StandardMonomial((ColumnIndex("Jp", 0, n),), n)) == -1
-    assert natural_sl2_weight(StandardMonomial((ColumnIndex("I", 1, n),), n)) == 0
-    assert natural_sl2_weight(StandardMonomial((ColumnIndex("K", 0, n),), n)) == 0
+    assert natural_sl2_weight((ColumnIndex("J", 0, n),)) == 1
+    assert natural_sl2_weight((ColumnIndex("Jp", 0, n),)) == -1
+    assert natural_sl2_weight((ColumnIndex("I", 1, n),)) == 0
+    assert natural_sl2_weight((ColumnIndex("K", 0, n),)) == 0
 
 
 def test_torus_weight_sum_matches_natural_weight(chains_by_rank):
     for n, chains in chains_by_rank.items():
         for m in chains:
-            d, e, f = monomial_triple(m.columns)
+            d, e, f = monomial_triple(m)
             weight, = tl_weights(middle_ranges(d, f, n), [e])
             assert sum(weight) == natural_sl2_weight(m)
 
@@ -220,9 +224,9 @@ def test_sample_chain(worked_chain):
     assert sample_chain(4) == worked_chain
     for n in (2, 3, 5):
         m = sample_chain(n)
-        kinds = {c.kind for c in m.columns}
+        kinds = {c.kind for c in m}
         assert {"J", "Jp", "K"} <= kinds
-        assert is_chain(m.columns)
+        assert standard_monomial(m) == m
 
 
 def test_tableau_semistandard_predicate():
@@ -252,7 +256,7 @@ def doubly_interlacing_triples(draw):
 def test_from_triple_round_trips_through_monomial_triple(triple):
     d, e, f, n = triple
     chain, = build_chains(d, f, n, [e])
-    assert monomial_triple(chain.columns) == (d, e, f)
+    assert monomial_triple(chain) == (d, e, f)
 
 
 @st.composite
